@@ -1,9 +1,9 @@
 #pragma once
 
+#include <array>
 #include <compare>
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "util/ids.hpp"
 
@@ -51,8 +51,28 @@ unsigned stream_header_bits(unsigned id_bits) noexcept;
 /// handed to the runtime and may be shared among many outgoing links (a
 /// broadcast writes its payload once). Reading is strictly sequential via
 /// SymbolCursor.
+///
+/// Small-buffer storage: almost every stream the protocols open carries a
+/// handful of O(log n)-bit symbols (1-bit flags, acks, votes, short lists),
+/// so the first 64 payload bits and the first 8 symbol widths live inside
+/// the object and such a buffer never touches the heap. A buffer that
+/// outgrows either spills both arrays into one heap block (words, then
+/// widths) and stays there. The representation is a pure function of
+/// (size(), bit_size()) — inline iff size() <= 8 and bit_size() <= 64 —
+/// and so are the heap capacities, so the object stores no flag and no
+/// capacity: 32 bytes. Moves steal the heap block and are noexcept, so
+/// containers of streams relocate instead of copying. An append (spill or
+/// reallocation) or a move of the buffer itself may move words() and
+/// widths(): readers fetch them per use and never keep them across either.
 class SymbolBuffer {
  public:
+  SymbolBuffer() noexcept = default;
+  SymbolBuffer(const SymbolBuffer& other);
+  SymbolBuffer(SymbolBuffer&& other) noexcept;
+  SymbolBuffer& operator=(const SymbolBuffer& other);
+  SymbolBuffer& operator=(SymbolBuffer&& other) noexcept;
+  ~SymbolBuffer();
+
   /// Appends a symbol of `width` bits (1..64). Precondition: value < 2^width.
   void put(std::uint64_t value, unsigned width);
 
@@ -60,14 +80,14 @@ class SymbolBuffer {
   void put_bit(bool b) { put(b ? 1 : 0, 1); }
 
   /// Number of symbols stored.
-  [[nodiscard]] std::size_t size() const noexcept { return widths_.size(); }
+  [[nodiscard]] std::size_t size() const noexcept { return count_; }
 
   /// Total payload width in bits.
   [[nodiscard]] std::size_t bit_size() const noexcept { return total_bits_; }
 
   /// Width of the idx-th symbol.
   [[nodiscard]] unsigned width_at(std::size_t idx) const noexcept {
-    return widths_[idx];
+    return widths()[idx];
   }
 
   /// Value of the symbol starting at bit offset `bit_off` with given width.
@@ -79,28 +99,77 @@ class SymbolBuffer {
   /// word_count() and widths(), lets the runtime's SoA lanes blit symbol
   /// runs in 64-bit chunks instead of re-packing symbol by symbol.
   [[nodiscard]] const std::uint64_t* words() const noexcept {
-    return words_.data();
+    return is_inline() ? &store_.in.word : store_.heap.words;
   }
   [[nodiscard]] std::size_t word_count() const noexcept {
-    return words_.size();
+    return (total_bits_ + 63) >> 6;
   }
   [[nodiscard]] const std::uint8_t* widths() const noexcept {
-    return widths_.data();
+    return is_inline() ? store_.in.widths.data() : store_.heap.widths;
   }
 
   /// Bulk append: copies `count` symbols totalling `nbits` payload bits out
   /// of another packed word array, starting at bit `src_bit`. Produces the
   /// exact buffer a sequence of put() calls with the same values/widths
   /// would — the deliver path uses it to move a whole message in word-sized
-  /// chunks.
+  /// chunks. The source must not be this buffer's own storage (growing it
+  /// may move that storage).
   void append_packed(const std::uint64_t* src_words, std::size_t src_word_count,
                      std::size_t src_bit, std::size_t nbits,
                      const std::uint8_t* widths, std::size_t count);
 
  private:
-  std::vector<std::uint64_t> words_;
-  std::vector<std::uint8_t> widths_;
+  static constexpr std::size_t kInlineBits = 64;
+  static constexpr std::size_t kInlineSymbols = 8;
+
+  /// Inline payload word and widths, used while the buffer fits them.
+  struct Inline {
+    std::uint64_t word;
+    std::array<std::uint8_t, kInlineSymbols> widths;
+  };
+  /// The spilled block: `words` is the start of one operator-new block
+  /// that holds heap_words(bit_size()) words followed by the widths.
+  struct Heap {
+    std::uint64_t* words;
+    std::uint8_t* widths;
+  };
+  union Store {
+    Inline in;
+    Heap heap;
+  };
+
+  [[nodiscard]] bool is_inline() const noexcept {
+    return fits_inline(total_bits_, count_);
+  }
+  [[nodiscard]] static bool fits_inline(std::size_t bits,
+                                        std::size_t count) noexcept {
+    return bits <= kInlineBits && count <= kInlineSymbols;
+  }
+
+  /// Makes room for `bits` payload bits and `count` symbols (both at least
+  /// the current sizes): spills to, or reallocates, the heap block when the
+  /// capacities for the new sizes differ from the current ones. Words past
+  /// the payload are zero afterwards, as writers OR into them.
+  void grow_to(std::size_t bits, std::size_t count);
+
+  /// Writable views of the current storage.
+  [[nodiscard]] std::uint64_t* words_mut() noexcept {
+    return is_inline() ? &store_.in.word : store_.heap.words;
+  }
+  [[nodiscard]] std::uint8_t* widths_mut() noexcept {
+    return is_inline() ? store_.in.widths.data() : store_.heap.widths;
+  }
+
+  /// Frees the heap block, if any, and resets to the empty inline buffer.
+  void reset() noexcept;
+
+  /// Takes over `other`'s storage (this must hold no heap block) and
+  /// leaves `other` empty and inline.
+  void take(SymbolBuffer& other) noexcept;
+
+  Store store_{Inline{0, {}}};
   std::size_t total_bits_ = 0;
+  std::size_t count_ = 0;
 };
 
 /// Reads `take` (1..64) bits starting at absolute bit `bit` from a packed

@@ -488,7 +488,7 @@ class Network {
                     const MsgBlock::Receiver& rcv);
 
   /// Hints the destination node's hot state into cache one delivery ahead
-  /// of use: deliveries land on essentially random ~2 KB NodeStates, and
+  /// of use: deliveries land on essentially random 384-byte NodeStates, and
   /// the dependent-miss chain (state header → inbox bucket → stream) is
   /// the measured per-copy bottleneck on high-degree graphs. A pure hint —
   /// no observable behaviour depends on it.

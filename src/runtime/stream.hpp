@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <type_traits>
 
 #include "runtime/message.hpp"
 
@@ -111,5 +112,11 @@ class InStream {
   std::size_t read_bit_ = 0;
   bool closed_ = false;
 };
+
+// Inboxes keep InStreams in sorted vectors that shift on every insert: a
+// throwing move would make them copy, and the element size is what the
+// inbox's cache-footprint budget (inbox.hpp) is written against.
+static_assert(std::is_nothrow_move_constructible_v<InStream>);
+static_assert(sizeof(InStream) <= 64);
 
 }  // namespace nc
