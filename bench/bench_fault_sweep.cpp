@@ -14,9 +14,9 @@
 //    missing traffic into bounded rounds-to-completion instead of a hang.
 //    Each loss point also runs with the reliability service armed
 //    (src/runtime/reliability.hpp): rel_mode=1 (per-stream ARQ) on the
-//    full grid and rel_mode=2 (windowed FEC) on a subset. The reliable
-//    rows quantify where the cliff moves and what the protection costs
-//    (bits, messages_retransmitted, acks_sent, fec_repairs columns).
+//    full grid. The reliable rows quantify where the cliff moves and what
+//    the protection costs (bits, messages_retransmitted, acks_sent
+//    columns).
 //  - delay_curve: jittered per-link delay only. Delays stretch
 //    rounds-to-completion but must not change *what* is recovered (FIFO
 //    per link is preserved by the engine), making this a correctness
@@ -66,7 +66,7 @@ struct FaultConfig {
   std::uint64_t delay_min = 0, delay_max = 0;
   double crash_frac = 0;
   std::uint64_t crash_round = 1, recover_after = 0;
-  std::uint64_t rel_mode = 0;  ///< 0 off, 1 ARQ, 2 FEC (engine defaults)
+  std::uint64_t rel_mode = 0;  ///< 0 off, 1 ARQ (engine defaults)
 };
 
 struct Row {
@@ -78,7 +78,7 @@ struct Row {
   double rounds_mean = 0;
   std::uint64_t messages = 0, bits = 0, lost = 0, delayed = 0,
                 dropped_crash = 0, crashes = 0, recoveries = 0, retx = 0,
-                acks = 0, fec_repairs = 0;
+                acks = 0;
   double recovered_size = 0;     ///< mean |largest output cluster|
   double recovered_density = 0;  ///< mean density (0 when nothing found)
   double recall = 0;             ///< mean |output ∩ planted| / |planted|
@@ -134,7 +134,6 @@ Row run_config(const SizeConfig& size, const FaultConfig& fault,
     row.recoveries += res.stats.recover_events;
     row.retx += res.stats.messages_retransmitted;
     row.acks += res.stats.acks_sent;
-    row.fec_repairs += res.stats.fec_repairs;
 
     const auto best = res.largest_cluster();
     std::size_t overlap = 0;
@@ -201,8 +200,6 @@ void append_row_json(JsonWriter& w, const Row& row) {
       .value(row.retx)
       .key("acks_sent")
       .value(row.acks)
-      .key("fec_repairs")
-      .value(row.fec_repairs)
       .key("recovered_size")
       .value(row.recovered_size)
       .key("recovered_density")
@@ -264,11 +261,6 @@ int main(int argc, char** argv) {
       {"loss_curve", 1e-4, 0, 0, 0.0, 1, 0, 1},
       {"loss_curve", 1e-3, 0, 0, 0.0, 1, 0, 1},
       {"loss_curve", 1e-2, 0, 0, 0.0, 1, 0, 1},
-      // Windowed FEC (rel_mode=2) on a subset: overhead baseline plus the
-      // two ends of the interesting loss range.
-      {"loss_curve", 0.0, 0, 0, 0.0, 1, 0, 2},
-      {"loss_curve", 1e-4, 0, 0, 0.0, 1, 0, 2},
-      {"loss_curve", 1e-2, 0, 0, 0.0, 1, 0, 2},
       {"delay_curve", 0.0, 0, 2},
       {"delay_curve", 0.0, 1, 8},
       // Crash at round 25: mid-protocol at both instance sizes (the clean

@@ -4,20 +4,18 @@
 // path regressions (an accidental O(n) scan, a lost fast path) while being
 // deliberately insensitive to machine speed:
 //
-//  - Floors carry large slack (>= 2x below the numbers a 2026 single-core
-//    CI container measures, far more than the ~30% round-to-round noise we
-//    see on shared runners), so an honest build on modest hardware passes.
+//  - Floors were set at >= 2x below single measurements on a 1-core
+//    container, but the slack does not hold across runs: on a 4-core host,
+//    four gate runs swung ~1.9x best-of-3, and the worst run cleared its
+//    floors by only 1.05x (sparse_idle), 1.22x (planted_protocol) and
+//    1.14x (broadcast_fanout). Treat a lone failure on a loaded machine as
+//    noise before treating it as a regression.
 //  - Best-of-three measures the machine's capability, not its worst
 //    scheduling hiccup.
 //
-// Escape hatches when a runner is still slower than the slack allows (or
-// a deliberate engine change moves the floors):
-//  - --floor-scale=0.5         scale every floor at invocation time;
-//  - NEARCLIQUE_PERF_GATE_FLOOR_SCALE=0.5 (environment) the same, for CI
-//    configuration without editing the workflow command;
-//  - -DNEARCLIQUE_PERF_GATE_FLOOR_SCALE=0.5 at compile time bakes a scale
-//    into the binary (a vendor shipping to known-slow hardware).
-// Precedence: flag > environment > compile definition.
+// Escape hatch when a runner is slower than the floors allow (or a
+// deliberate engine change moves them): --floor-scale=0.5 scales every
+// floor at invocation time.
 //
 // The pinned workloads mirror BENCH_runtime.json rows (bench_runtime_scale)
 // so a floor failure can be cross-read against the committed artifact:
@@ -56,19 +54,15 @@
 #include "util/bitio.hpp"
 #include "util/rng.hpp"
 
-#ifndef NEARCLIQUE_PERF_GATE_FLOOR_SCALE
-#define NEARCLIQUE_PERF_GATE_FLOOR_SCALE 1.0
-#endif
-
 namespace nc {
 namespace {
 
 using Clock = std::chrono::steady_clock;
 
-// Committed floors, in rounds/sec. Set from a fresh run on the 1-core
-// container that regenerated BENCH_runtime.json for this change, then
-// divided by >= 2x to absorb runner-to-runner spread; see the artifact for
-// the measured numbers these derive from.
+// Committed floors, in rounds/sec. Set from one run on the 1-core
+// container that regenerated BENCH_runtime.json, divided by >= 2x; the
+// header records how much of that margin survives run-to-run spread. See
+// the artifact for the measured numbers these derive from.
 constexpr double kSparseIdleFloor = 70'000.0;      // measured ~156k r/s
 constexpr double kPlantedProtoFloor = 180.0;       // measured ~410 r/s
 constexpr double kBroadcastFanoutFloor = 140.0;    // measured ~314 r/s
@@ -312,10 +306,7 @@ GateResult gate(const std::string& name, double floor, double scale, Fn&& fn) {
 }  // namespace nc
 
 int main(int argc, char** argv) {
-  double scale = NEARCLIQUE_PERF_GATE_FLOOR_SCALE;
-  if (const char* env = std::getenv("NEARCLIQUE_PERF_GATE_FLOOR_SCALE")) {
-    scale = std::atof(env);
-  }
+  double scale = 1.0;
   std::string json_path;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--floor-scale=", 14) == 0) {
@@ -370,9 +361,8 @@ int main(int argc, char** argv) {
       std::cerr << "perf gate FAILED: " << r.name << " at "
                 << r.best_rounds_per_sec << " rounds/sec is below the floor "
                 << r.floor
-                << ".\nIf this machine is genuinely slower than the slack "
-                   "allows, rerun with --floor-scale=<x<1> or set "
-                   "NEARCLIQUE_PERF_GATE_FLOOR_SCALE.\n";
+                << ".\nIf this machine is genuinely slower than the floors "
+                   "allow, rerun with --floor-scale=<x<1>.\n";
       return 1;
     }
   }

@@ -58,11 +58,10 @@ cmake --build "$BUILD_DIR" -j "$(nproc)"
 
 # Fault-sweep curves: protocol quality + rounds-to-completion under
 # message loss, link delay and node churn on 100k (and, with --full, 1M)
-# planted instances. The loss curve runs three ways — bare (rel_mode=0),
-# ARQ-protected (rel_mode=1) and FEC-protected (rel_mode=2, subset) —
-# and each JSON row records its rel_mode plus the retransmission / ACK /
-# repair-chunk counters, so the artifact carries the reliability
-# provenance of every number. Fault and reliability decisions are keyed
+# planted instances. The loss curve runs two ways — bare (rel_mode=0) and
+# ARQ-protected (rel_mode=1) — and each JSON row records its rel_mode plus
+# the retransmission / ACK counters, so the artifact carries the
+# reliability provenance of every number. Fault and reliability decisions are keyed
 # hashes, so the curves are bit-identical at any thread count
 # (docs/benchmarks.md).
 "$BUILD_DIR/bench_fault_sweep" $FULL_FLAG --json "$REPO_ROOT/BENCH_faults.json"

@@ -35,12 +35,11 @@
 //
 // --reliability arms the stage/deliver reliability service
 // (src/runtime/reliability.hpp) against that adversity, with the same
-// distribution rule: rel_mode=1 is per-stream ACK + retransmission
-// (rel_ack_timeout=, rel_max_retx=), rel_mode=2 is k-of-n erasure coding
-// over round windows (rel_fec_window=, rel_fec_repair=). Reliability
-// decisions are keyed hashes too, so protected runs stay bit-identical at
-// every --threads value; rel_* keys also work as --algo-params entries and
-// --grid axes.
+// distribution rule: rel_mode=1 is per-stream ACK + retransmission (ARQ;
+// rel_ack_timeout=, rel_max_retx=, rel_seed=). Reliability decisions are
+// keyed hashes too, so protected runs stay bit-identical at every
+// --threads value; rel_* keys also work as --algo-params entries and --grid
+// axes.
 //
 // --metrics=FILE / --trace=FILE capture runtime telemetry
 // (src/runtime/telemetry.hpp, docs/observability.md): --metrics writes
@@ -56,9 +55,9 @@
 //
 // --spec=FILE runs a sweep from a JSON spec document (the serialized
 // SweepSpec — see src/expt/README.md), round-tripping every field
-// including the faults and telemetry plans; --title, --json, --metrics and
-// --trace still apply on top, and every other sweep flag is rejected (it
-// would be silently dead).
+// including the faults, reliability and telemetry plans; --title, --json,
+// --metrics and --trace still apply on top, and every other sweep flag is
+// rejected (it would be silently dead).
 //
 // Per-algorithm bracket parameters — `shingles[eps=0.2,min_size=4]` — are
 // the canonical way to parameterize a sweep's algorithms: each algorithm
@@ -94,13 +93,12 @@
 #include <string>
 #include <vector>
 
+#include "algo/plans.hpp"
 #include "algo/registry.hpp"
 #include "expt/scenario.hpp"
 #include "expt/sweep.hpp"
 #include "graph/dot.hpp"
 #include "graph/metrics.hpp"
-#include "runtime/faults.hpp"
-#include "runtime/reliability.hpp"
 #include "runtime/telemetry.hpp"
 #include "util/cli.hpp"
 #include "util/json.hpp"
@@ -137,8 +135,8 @@ int usage(std::FILE* to) {
       "--faults=loss=0.05,delay_max=3,crash_frac=0.01 injects message\n"
       "loss / link delay / node churn into declaring algorithms; fault\n"
       "keys also work as --algo-params entries and --grid axes.\n"
-      "--reliability=rel_mode=1 arms ACK/retransmission (rel_mode=2: FEC)\n"
-      "against that loss for declaring algorithms; same key rules.\n"
+      "--reliability=rel_mode=1 arms ACK/retransmission (ARQ) against\n"
+      "that loss for declaring algorithms; same key rules.\n"
       "--metrics=FILE writes per-round metrics as JSON lines; --trace=FILE\n"
       "writes a Chrome trace_event document (open in Perfetto) and arms the\n"
       "protocol probes. --telemetry=tel_stride=8,.. tunes sampling/bounds.\n"
@@ -283,76 +281,34 @@ void apply_threads(AlgoSpec& spec, long long threads) {
   }
 }
 
-/// Parses --faults into a validated override bag (empty when the flag is
-/// absent). Unknown keys and out-of-range values fail here, with the fault
-/// catalogue, before anything runs.
-ParamSet faults_from_args(const Args& args) {
-  const std::string csv = args.get("faults", "");
-  if (csv.empty()) return {};
-  (void)parse_fault_plan(csv);  // full validation incl. ranges
-  return parse_params_csv(csv, &fault_param_defaults());
+/// Parses a plan flag (--faults / --reliability / --telemetry) into a
+/// validated override bag (empty when the flag is absent). Unknown keys and
+/// out-of-range values fail here, with the plan's key catalogue, before
+/// anything runs.
+ParamSet plan_from_args(const Args& args, const PlanRow& plan) {
+  return parse_plan_overrides(plan, args.get(plan.name, ""));
 }
 
-/// The shared run/sweep diagnostic for --faults on an algorithm without
-/// fault knobs (centralized baselines execute no network to disturb).
-void warn_faults_ignored(const std::string& algorithm) {
+/// The shared run/sweep diagnostic for a plan flag on an algorithm without
+/// the plan's knobs (centralized baselines run no network to disturb,
+/// protect or watch).
+void warn_plan_ignored(const PlanRow& plan, const std::string& algorithm) {
   std::fprintf(stderr,
-               "note: algorithm '%s' does not declare fault parameters; "
-               "--faults ignored for it\n",
-               algorithm.c_str());
+               "note: algorithm '%s' does not declare %s ignored for it\n",
+               algorithm.c_str(), plan.ignored);
 }
 
-/// Applies --faults key by key to an algorithm's parameters (explicit
+/// Applies a plan bag key by key to an algorithm's parameters (explicit
 /// --algo-params values win), warn-and-skip for non-declaring algorithms.
-void apply_faults(AlgoSpec& spec, const ParamSet& faults) {
-  if (faults.values().empty()) return;
-  if (!algorithm_declares(spec.name, "loss")) {
-    warn_faults_ignored(spec.name);
+void apply_plan(AlgoSpec& spec, const PlanRow& plan, const ParamSet& bag) {
+  if (bag.values().empty()) return;
+  if (!algorithm_declares(spec.name, plan.declare_key)) {
+    warn_plan_ignored(plan, spec.name);
     return;
   }
-  for (const auto& [key, value] : faults.values()) {
+  for (const auto& [key, value] : bag.values()) {
     if (!spec.params.has(key)) spec.params.with(key, value);
   }
-}
-
-/// Parses --reliability into a validated override bag (empty when absent),
-/// the exact --faults pattern for the rel_* key set.
-ParamSet reliability_from_args(const Args& args) {
-  const std::string csv = args.get("reliability", "");
-  if (csv.empty()) return {};
-  (void)parse_reliability_plan(csv);  // full validation incl. ranges
-  return parse_params_csv(csv, &reliability_param_defaults());
-}
-
-/// The shared run/sweep diagnostic for --reliability (or explicit rel_*
-/// params) on an algorithm without the reliability knobs.
-void warn_reliability_ignored(const std::string& algorithm) {
-  std::fprintf(stderr,
-               "note: algorithm '%s' does not declare reliability "
-               "parameters; --reliability ignored for it\n",
-               algorithm.c_str());
-}
-
-/// Applies --reliability key by key (explicit --algo-params values win),
-/// warn-and-skip for non-declaring algorithms.
-void apply_reliability(AlgoSpec& spec, const ParamSet& reliability) {
-  if (reliability.values().empty()) return;
-  if (!algorithm_declares(spec.name, "rel_mode")) {
-    warn_reliability_ignored(spec.name);
-    return;
-  }
-  for (const auto& [key, value] : reliability.values()) {
-    if (!spec.params.has(key)) spec.params.with(key, value);
-  }
-}
-
-/// Parses --telemetry into a validated override bag (empty when absent),
-/// the --faults pattern for the tel_* key set.
-ParamSet telemetry_from_args(const Args& args) {
-  const std::string csv = args.get("telemetry", "");
-  if (csv.empty()) return {};
-  (void)parse_telemetry_plan(csv);  // full validation incl. ranges
-  return parse_params_csv(csv, &telemetry_param_defaults());
 }
 
 /// Reads a capture-file flag (--metrics / --trace): empty string when the
@@ -379,28 +335,6 @@ void arm_capture_facets(ParamSet& telemetry, bool metrics, bool trace) {
   if (trace) {
     if (!telemetry.has("tel_trace")) telemetry.with("tel_trace", 1);
     if (!telemetry.has("tel_probes")) telemetry.with("tel_probes", 1);
-  }
-}
-
-/// The shared run/sweep diagnostic for telemetry flags on an algorithm
-/// without the tel_* knobs (centralized baselines run no engine to watch).
-void warn_telemetry_ignored(const std::string& algorithm) {
-  std::fprintf(stderr,
-               "note: algorithm '%s' does not declare telemetry "
-               "parameters; --telemetry/--metrics/--trace ignored for it\n",
-               algorithm.c_str());
-}
-
-/// Applies the telemetry bag key by key (explicit --algo-params values
-/// win), warn-and-skip for non-declaring algorithms.
-void apply_telemetry(AlgoSpec& spec, const ParamSet& telemetry) {
-  if (telemetry.values().empty()) return;
-  if (!algorithm_declares(spec.name, "tel_metrics")) {
-    warn_telemetry_ignored(spec.name);
-    return;
-  }
-  for (const auto& [key, value] : telemetry.values()) {
-    if (!spec.params.has(key)) spec.params.with(key, value);
   }
 }
 
@@ -440,16 +374,18 @@ int cmd_run(const Args& args) {
       parse_scenario_spec(scenario, args.get("params", ""), seed);
   AlgoSpec aspec = parse_algo_spec(algo, args.get("algo-params", ""), seed);
   apply_threads(aspec, threads_from_args(args));
-  apply_faults(aspec, faults_from_args(args));
-  apply_reliability(aspec, reliability_from_args(args));
 
-  // Telemetry: --metrics/--trace pick capture targets and arm the matching
-  // tel_* facets; --telemetry tunes stride/bounds (and wins on conflicts).
+  // --metrics/--trace pick telemetry capture targets and arm the matching
+  // tel_* facets on top of --telemetry (which wins on conflicts).
   const std::string metrics_path = capture_path(args, "metrics");
   const std::string trace_path = capture_path(args, "trace");
-  ParamSet telemetry = telemetry_from_args(args);
-  arm_capture_facets(telemetry, !metrics_path.empty(), !trace_path.empty());
-  apply_telemetry(aspec, telemetry);
+  for (const PlanRow& plan : plan_table()) {
+    ParamSet bag = plan_from_args(args, plan);
+    if (plan.sweep_bag == &SweepSpec::telemetry) {
+      arm_capture_facets(bag, !metrics_path.empty(), !trace_path.empty());
+    }
+    apply_plan(aspec, plan, bag);
+  }
 
   // --profile: opt-in engine per-phase profiling (same declare-or-warn
   // convention as --threads; an explicit --algo-params=profile=.. wins).
@@ -501,7 +437,7 @@ int cmd_run(const Args& args) {
   }
 
   // Telemetry capture outputs. A missing sink despite a capture flag means
-  // the request never reached a network run (apply_telemetry warned).
+  // the request never reached a network run (apply_plan warned).
   if (!metrics_path.empty() || !trace_path.empty()) {
     if (result.telemetry == nullptr) {
       std::fprintf(stderr,
@@ -751,9 +687,9 @@ int cmd_sweep(const Args& args) {
     }
     spec.axes = parse_grid(args.get("grid", ""));
     spec.threads = static_cast<std::size_t>(threads_from_args(args));
-    spec.faults = faults_from_args(args);
-    spec.reliability = reliability_from_args(args);
-    spec.telemetry = telemetry_from_args(args);
+    for (const PlanRow& plan : plan_table()) {
+      spec.*plan.sweep_bag = plan_from_args(args, plan);
+    }
     const auto trials = args.get_int("trials", 5);
     const auto seed = args.get_int("seed", 1);
     if (trials < 1) {
@@ -779,24 +715,18 @@ int cmd_sweep(const Args& args) {
   arm_capture_facets(spec.telemetry, !metrics_path.empty(),
                      !trace_path.empty());
 
-  // Shared diagnostics for both entry paths: sharding and faults only
+  // Shared diagnostics for both entry paths: sharding and plans only
   // reach algorithms that declare the knobs; say so instead of silently
   // running the rest clean/serial.
   for (const auto& algo : spec.algorithms) {
     if (spec.threads > 1 && !algorithm_declares(algo.name, "threads")) {
       warn_threads_ignored(algo.name);
     }
-    if (!spec.faults.values().empty() &&
-        !algorithm_declares(algo.name, "loss")) {
-      warn_faults_ignored(algo.name);
-    }
-    if (!spec.reliability.values().empty() &&
-        !algorithm_declares(algo.name, "rel_mode")) {
-      warn_reliability_ignored(algo.name);
-    }
-    if (!spec.telemetry.values().empty() &&
-        !algorithm_declares(algo.name, "tel_metrics")) {
-      warn_telemetry_ignored(algo.name);
+    for (const PlanRow& plan : plan_table()) {
+      if (!(spec.*plan.sweep_bag).values().empty() &&
+          !algorithm_declares(algo.name, plan.declare_key)) {
+        warn_plan_ignored(plan, algo.name);
+      }
     }
   }
 

@@ -4,6 +4,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "algo/plans.hpp"
 #include "baselines/ggr_find.hpp"
 #include "baselines/grasp.hpp"
 #include "baselines/neighbors2.hpp"
@@ -37,13 +38,13 @@ AlgorithmRegistry build_global_registry() {
   // examples historically built by hand (p = pn / n, seed into the network
   // RNG, run_boosted for the versions wrapper), so pre-registry fixed-seed
   // results are preserved bit-for-bit.
-  // The network-backed protocol also declares the complete fault-plan key
-  // set (loss, ge_*, delay_*, crash_*, fault_seed — src/runtime/faults.hpp)
-  // and the reliability-service keys (rel_mode, rel_ack_timeout, rel_max_retx,
-  // rel_fec_window, rel_fec_repair, rel_seed — src/runtime/reliability.hpp),
-  // so adversity and its countermeasures ride the ordinary param-bag /
-  // sweep-axis machinery: `--algo-params=loss=0.05,rel_mode=1` and
-  // `--grid=algo.loss=0:0.05:0.1` just work.
+  // The network-backed protocol also declares every plan's complete key
+  // set (faults, reliability, telemetry — src/algo/plans.hpp), so
+  // adversity, its countermeasures and run telemetry ride the ordinary
+  // param-bag / sweep-axis machinery: `--algo-params=loss=0.05,rel_mode=1`
+  // and `--grid=algo.loss=0:0.05:0.1` just work. The adapter owns the
+  // telemetry capture sink; the result carries it out as
+  // AlgoResult::telemetry.
   AlgoParams dnc_defaults = AlgoParams()
                                 .with("eps", 0.2)
                                 .with("pn", 9.0)
@@ -52,25 +53,18 @@ AlgorithmRegistry build_global_registry() {
                                 .with("max_rounds", 32'000'000)
                                 .with("threads", 1)
                                 .with("profile", 0);
-  for (const auto& [key, value] : fault_param_defaults().values()) {
-    dnc_defaults.with(key, value);
-  }
-  for (const auto& [key, value] : reliability_param_defaults().values()) {
-    dnc_defaults.with(key, value);
-  }
-  // Telemetry keys (tel_metrics, tel_trace, tel_probes, tel_stride,
-  // tel_max_samples, tel_max_spans — src/runtime/telemetry.hpp) ride the
-  // same param-bag machinery; the adapter owns the capture sink and the
-  // result carries it out as AlgoResult::telemetry.
-  for (const auto& [key, value] : telemetry_param_defaults().values()) {
-    dnc_defaults.with(key, value);
+  for (const PlanRow& plan : plan_table()) {
+    for (const auto& [key, value] : plan.defaults().values()) {
+      dnc_defaults.with(key, value);
+    }
   }
   r.add({"dist_near_clique",
          "Algorithm DistNearClique (Section 4) with the Section 4.1 "
          "time-bound and boosting wrappers (versions > 1); fault-plan "
          "params inject message loss / delay / churn, rel_* params enable "
-         "the ACK/FEC reliability service, tel_* params capture run "
-         "telemetry (per-round metrics, phase traces, protocol probes)",
+         "the ARQ (ACK + retransmission) reliability service, tel_* params "
+         "capture run telemetry (per-round metrics, phase traces, protocol "
+         "probes)",
          CostModel::kCongest, std::move(dnc_defaults),
          [](const Graph& g, const AlgoParams& p, std::uint64_t seed) {
            DriverConfig cfg;

@@ -5,10 +5,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "algo/plans.hpp"
 #include "graph/metrics.hpp"
-#include "runtime/faults.hpp"
-#include "runtime/reliability.hpp"
-#include "runtime/telemetry.hpp"
 #include "util/json.hpp"
 
 namespace nc {
@@ -232,19 +230,11 @@ std::vector<SweepRow> run_sweep(const SweepSpec& spec,
   if (spec.algorithms.empty()) {
     throw std::invalid_argument("sweep spec lists no algorithms");
   }
-  if (!spec.faults.keys().empty()) {
-    // Unknown fault keys would otherwise be silently skipped by the
-    // declare-gated forwarding below; validate the bag as a plan up front.
-    (void)fault_plan_from_params(
-        merge_params(fault_param_defaults(), spec.faults, "fault plan"));
-  }
-  if (!spec.reliability.keys().empty()) {
-    (void)reliability_plan_from_params(merge_params(
-        reliability_param_defaults(), spec.reliability, "reliability plan"));
-  }
-  if (!spec.telemetry.keys().empty()) {
-    (void)telemetry_plan_from_params(merge_params(
-        telemetry_param_defaults(), spec.telemetry, "telemetry plan"));
+  for (const PlanRow& plan : plan_table()) {
+    // Unknown plan keys would otherwise be silently skipped by the
+    // declare-gated forwarding below; validate each bag as a plan up front.
+    const ParamSet& bag = spec.*plan.sweep_bag;
+    if (!bag.keys().empty()) plan.validate(bag);
   }
   for (const auto& axis : spec.axes) {
     if (axis.values.empty()) {
@@ -311,23 +301,14 @@ std::vector<SweepRow> run_sweep(const SweepSpec& spec,
           algorithm_declares(algo.name, "threads")) {
         row.algo_params.with("threads", spec.threads);
       }
-      // The sweep-level fault plan reaches declaring algorithms the same
-      // way, key by key; explicit per-algorithm and axis values win.
-      for (const auto& [key, value] : spec.faults.values()) {
-        if (!row.algo_params.has(key) && algorithm_declares(algo.name, key)) {
-          row.algo_params.with(key, value);
-        }
-      }
-      // And the sweep-level reliability plan, with the same precedence.
-      for (const auto& [key, value] : spec.reliability.values()) {
-        if (!row.algo_params.has(key) && algorithm_declares(algo.name, key)) {
-          row.algo_params.with(key, value);
-        }
-      }
-      // And the sweep-level telemetry knobs, with the same precedence.
-      for (const auto& [key, value] : spec.telemetry.values()) {
-        if (!row.algo_params.has(key) && algorithm_declares(algo.name, key)) {
-          row.algo_params.with(key, value);
+      // The sweep-level plans reach declaring algorithms the same way,
+      // key by key; explicit per-algorithm and axis values win.
+      for (const PlanRow& plan : plan_table()) {
+        for (const auto& [key, value] : (spec.*plan.sweep_bag).values()) {
+          if (!row.algo_params.has(key) &&
+              algorithm_declares(algo.name, key)) {
+            row.algo_params.with(key, value);
+          }
         }
       }
       row.scenario_merged =
@@ -460,9 +441,9 @@ std::string sweep_spec_json(const SweepSpec& spec) {
   w.key("seed_base").value(spec.seed_base);
   w.key("seeds").value(schedule_name(spec.seeds));
   w.key("threads").value(static_cast<std::uint64_t>(spec.threads));
-  write_params(w, "faults", spec.faults);
-  write_params(w, "reliability", spec.reliability);
-  write_params(w, "telemetry", spec.telemetry);
+  for (const PlanRow& plan : plan_table()) {
+    write_params(w, plan.name, spec.*plan.sweep_bag);
+  }
   write_success_spec(w, "success", spec.success);
   write_success_spec(w, "success2", spec.success2);
   w.end_object();
@@ -572,20 +553,12 @@ SweepSpec sweep_spec_from_json(const std::string& text) {
         throw std::invalid_argument("threads must be an integer >= 1");
       }
       spec.threads = static_cast<std::size_t>(t);
-    } else if (key == "faults") {
-      spec.faults = param_set_from_json(value, "faults");
-      // Fail on unknown keys / bad ranges now, with the fault catalogue,
+    } else if (const PlanRow* plan = find_plan(key)) {
+      ParamSet& bag = spec.*plan->sweep_bag;
+      bag = param_set_from_json(value, key);
+      // Fail on unknown keys / bad ranges now, with the plan's catalogue,
       // instead of at run time.
-      (void)fault_plan_from_params(
-          merge_params(fault_param_defaults(), spec.faults, "fault plan"));
-    } else if (key == "reliability") {
-      spec.reliability = param_set_from_json(value, "reliability");
-      (void)reliability_plan_from_params(merge_params(
-          reliability_param_defaults(), spec.reliability, "reliability plan"));
-    } else if (key == "telemetry") {
-      spec.telemetry = param_set_from_json(value, "telemetry");
-      (void)telemetry_plan_from_params(merge_params(
-          telemetry_param_defaults(), spec.telemetry, "telemetry plan"));
+      plan->validate(bag);
     } else if (key == "success") {
       spec.success = success_spec_from_json(value, "success");
     } else if (key == "success2") {

@@ -86,6 +86,9 @@ struct SweepSpec {
   /// lives here beside trials/seeds rather than in the parameter grid.
   std::size_t threads = 1;
 
+  // The three plan bags below are the rows of the plan table
+  // (src/algo/plans.hpp), which reaches them by member pointer.
+
   /// Fault-plan overrides (src/runtime/faults.hpp keys: loss, ge_*,
   /// delay_*, crash_*, fault_seed) applied to every listed algorithm that
   /// declares the key, exactly like `threads` — explicit per-algorithm
@@ -95,12 +98,11 @@ struct SweepSpec {
   ParamSet faults;
 
   /// Reliability-service overrides (src/runtime/reliability.hpp keys:
-  /// rel_mode, rel_ack_timeout, rel_max_retx, rel_fec_window,
-  /// rel_fec_repair, rel_seed), distributed exactly like `faults`: applied
-  /// to every listed algorithm that declares the key, with explicit
-  /// per-algorithm overrides and axis values winning. One
-  /// `--reliability=rel_mode=1` arms ARQ on every network-backed algorithm
-  /// in a lossy comparison.
+  /// rel_mode, rel_ack_timeout, rel_max_retx, rel_seed), distributed
+  /// exactly like `faults`: applied to every listed algorithm that declares
+  /// the key, with explicit per-algorithm overrides and axis values
+  /// winning. One `--reliability=rel_mode=1` arms ARQ on every
+  /// network-backed algorithm in a lossy comparison.
   ParamSet reliability;
 
   /// Telemetry overrides (src/runtime/telemetry.hpp keys: tel_metrics,
@@ -199,8 +201,9 @@ std::string sweep_spec_json(const SweepSpec& spec);
 ///   }
 ///
 /// Every key is optional except scenario.family and algorithms; omitted
-/// keys take the SweepSpec defaults. "faults" and "reliability" keys are
-/// validated against the declared fault / reliability parameter sets.
+/// keys take the SweepSpec defaults. "faults", "reliability" and
+/// "telemetry" keys are validated against the plan's declared key set
+/// (src/algo/plans.hpp).
 /// Throws std::invalid_argument with a self-explaining message on
 /// malformed JSON, unknown keys or bad values.
 SweepSpec sweep_spec_from_json(const std::string& text);

@@ -22,7 +22,6 @@ void RunStats::absorb(const RunStats& other) {
   recover_events += other.recover_events;
   messages_retransmitted += other.messages_retransmitted;
   acks_sent += other.acks_sent;
-  fec_repairs += other.fec_repairs;
   for (std::size_t k = 0; k < bits_by_kind.size(); ++k) {
     bits_by_kind[k] += other.bits_by_kind[k];
   }
@@ -40,7 +39,6 @@ void RunStats::merge_traffic(const RunStats& other) {
   messages_dropped_crash += other.messages_dropped_crash;
   messages_retransmitted += other.messages_retransmitted;
   acks_sent += other.acks_sent;
-  fec_repairs += other.fec_repairs;
   for (std::size_t k = 0; k < bits_by_kind.size(); ++k) {
     bits_by_kind[k] += other.bits_by_kind[k];
   }
@@ -75,7 +73,6 @@ std::string RunStats::summary() const {
   }
   if (messages_retransmitted > 0) os << " retx=" << messages_retransmitted;
   if (acks_sent > 0) os << " acks=" << acks_sent;
-  if (fec_repairs > 0) os << " fec_repairs=" << fec_repairs;
   return os.str();
 }
 
@@ -94,7 +91,6 @@ void RunStats::to_json(JsonWriter& w) const {
   w.key("recover_events").value(recover_events);
   w.key("messages_retransmitted").value(messages_retransmitted);
   w.key("acks_sent").value(acks_sent);
-  w.key("fec_repairs").value(fec_repairs);
   // Sparse object keyed by kind index: most runs use a handful of the 32
   // CONGEST kinds, and absent == 0 keeps lines short and diff-friendly.
   w.key("bits_by_kind").begin_object();

@@ -40,15 +40,13 @@ struct RunStats {
 
   // Reliability-service accounting (src/runtime/reliability.hpp; all zero
   // when the service is off). With reliability on, messages_lost counts
-  // only *permanent* losses (retransmit budget exhausted / FEC window
-  // unrecovered); a message the service recovers lands in messages like
-  // any other delivery. Duplicate data copies and delivered control
-  // traffic (ACKs, repair chunks) are charged into bits / bits_by_kind —
+  // only *permanent* losses (retransmit budget exhausted); a message the
+  // service recovers lands in messages like any other delivery. Duplicate
+  // data copies and delivered control traffic (ACKs) are charged into bits / bits_by_kind —
   // the wire carried them — but not into messages, which stays the count
   // of protocol-visible deliveries.
   std::uint64_t messages_retransmitted = 0; ///< ARQ resend attempts
   std::uint64_t acks_sent = 0;              ///< ARQ ACKs transmitted
-  std::uint64_t fec_repairs = 0;            ///< FEC repair chunks sent
 
   /// Wire bits per message kind, indexed by kind. A fixed array (not a map):
   /// kinds are bounded by the 5-bit header field, the hot path increments a

@@ -231,15 +231,6 @@ class MsgBlock {
   /// receiver via append_receiver_from, because each copy falls due on its
   /// own round.
   void append_from(const MsgBlock& src, std::size_t i, unsigned header_bits) {
-    append_from(src, i, header_bits, src.round_[i]);
-  }
-
-  /// append_from with the deliver round rewritten: the reliability layer's
-  /// release path (FEC window resolution, ARQ recovery floors) re-stages a
-  /// parked/recovered row for the round the service computed, not the round
-  /// the fault engine originally stamped.
-  void append_from(const MsgBlock& src, std::size_t i, unsigned header_bits,
-                   std::uint64_t deliver_round) {
     ++msg_count_;
     to_.push_back(src.to_[i]);
     back_.push_back(src.back_[i]);
@@ -247,7 +238,7 @@ class MsgBlock {
     meta_.push_back(src.meta_[i]);
     wire_.push_back(src.wire_[i]);
     count_.push_back(src.count_[i]);
-    round_.push_back(deliver_round);
+    round_.push_back(src.round_[i]);
     copy_payload_from(src, i, header_bits);
   }
 

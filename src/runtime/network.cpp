@@ -241,7 +241,7 @@ Network::Network(const Graph& g, const NetConfig& config,
     }
     rel_ = std::make_unique<ReliabilityEngine>(
         config.reliability, config.faults, faults_.get(), directed_edges,
-        header_bits_, bandwidth_bits_, config.seed);
+        header_bits_, config.seed);
   }
 
   // Telemetry engine (opt-in). Built before on_start so nodes can register
@@ -461,9 +461,9 @@ Network::LinkVerdict Network::link_verdict(Shard& sh, std::size_t e,
   if (faults_ &&
       (faults_->crashed_at(from, round_) || faults_->crashed_at(to, round_))) {
     // Crash silencing is beneath the reliability service: a crashed
-    // endpoint neither retransmits nor collects repair chunks.
+    // endpoint neither retransmits nor acknowledges.
     sh.traffic.messages_dropped_crash += count;  // nclint:allow(stats-batch) one charge per link verdict, already batched over the row's receivers
-    out.fate = LinkVerdict::Fate::kDrop;
+    out.drop = true;
     return out;
   }
   const bool lost = faults_ != nullptr && faults_->lose(e, from, to, round_);
@@ -472,7 +472,7 @@ Network::LinkVerdict Network::link_verdict(Shard& sh, std::size_t e,
     // consulted when faults_ or rel_ is active).
     if (lost) {
       sh.traffic.messages_lost += count;  // nclint:allow(stats-batch) one charge per link verdict, already batched over the row's receivers
-      out.fate = LinkVerdict::Fate::kDrop;
+      out.drop = true;
       return out;
     }
     const std::uint64_t delay = faults_->delay_of(e, from, to, round_);
@@ -482,43 +482,16 @@ Network::LinkVerdict Network::link_verdict(Shard& sh, std::size_t e,
     }
     return out;
   }
-  if (rel_->fec()) {
-    bool first_park = false;
-    if (rel_->fec_on_message(e, from, to, round_, lost, sh.traffic,
-                             &first_park)) {
-      // The edge has (or this loss opens) an unresolved window: park the
-      // message — stream order is only decidable at the window close. The
-      // copy's own loss verdict rides along for the resolution.
-      out.fate = LinkVerdict::Fate::kPark;
-      out.lost = lost;
-      out.first_park = first_park;
-      return out;
-    }
-    std::uint64_t due = round_;
-    if (faults_) {
-      const std::uint64_t delay = faults_->delay_of(e, from, to, round_);
-      if (delay > 0) {
-        due = round_ + delay;
-        sh.traffic.messages_delayed += count;  // nclint:allow(stats-batch) one charge per link verdict
-      }
-    }
-    // The release floor keeps the stream FIFO across window releases: a
-    // message staged after a release may never undercut it.
-    due = std::max(due, rel_->floor_of(e));
-    rel_->raise_floor(e, due);
-    if (due > round_) out.deliver_round = due;
-    return out;
-  }
   // ARQ. The whole exchange resolves in closed form at stage time: the
   // recovery round (if any) is computable now, so the recovered message
-  // simply rides the ordinary delayed-delivery machinery — no parking.
+  // simply rides the ordinary delayed-delivery machinery.
   std::uint64_t due = round_;
   if (lost) {
     const std::uint64_t rec =
         rel_->arq_recover(e, from, to, round_, kind, wire_bits, sh.traffic);
     if (rec == ReliabilityEngine::kNever) {
       sh.traffic.messages_lost += count;  // nclint:allow(stats-batch) one charge per link verdict, already batched over the row's receivers
-      out.fate = LinkVerdict::Fate::kDrop;
+      out.drop = true;
       return out;
     }
     // Recovered copies take the attempt schedule, not the jitter model
@@ -540,95 +513,6 @@ Network::LinkVerdict Network::link_verdict(Shard& sh, std::size_t e,
   rel_->raise_floor(e, due);
   if (due > round_) out.deliver_round = due;
   return out;
-}
-
-void Network::park_row(Shard& sh, std::size_t e, const MsgView& v, NodeId to,
-                       std::uint32_t back_index, const LinkVerdict& verdict) {
-  if (telem_) sh.telem_fec_parks += 1;
-  // Heap-backed (default bind): parked rows outlive the round that staged
-  // them, so they must not live in the per-round arena.
-  sh.rel_parked.push(v, to, back_index, 0);
-  sh.rel_parked_edge.push_back(e);
-  sh.rel_parked_lost.push_back(verdict.lost ? 1 : 0);
-  if (verdict.first_park) sh.rel_pending_edges.push_back(e);
-}
-
-void Network::resolve_fec_windows(Shard& sh) {
-  // Split the pending edges into due (window closed before this round) and
-  // still-open. Resolution order is ascending edge for cleanliness, but the
-  // draws are keyed on (window, edge, chunk), so order cannot matter.
-  std::vector<std::size_t> due;
-  std::size_t kept_pending = 0;
-  for (const std::size_t e : sh.rel_pending_edges) {
-    if (rel_->fec_due(e, round_)) {
-      due.push_back(e);
-    } else {
-      sh.rel_pending_edges[kept_pending++] = e;
-    }
-  }
-  if (due.empty()) return;
-  sh.rel_pending_edges.resize(kept_pending);
-  std::sort(due.begin(), due.end());
-  const auto due_index = [&](std::size_t e) -> std::size_t {
-    const auto it = std::lower_bound(due.begin(), due.end(), e);
-    if (it == due.end() || *it != e) {
-      return std::numeric_limits<std::size_t>::max();
-    }
-    return static_cast<std::size_t>(it - due.begin());
-  };
-  // Pass 1: per-due-edge loss counts from the parked rows.
-  std::vector<std::uint64_t> losses(due.size(), 0);
-  for (std::size_t i = 0; i < sh.rel_parked_edge.size(); ++i) {
-    if (sh.rel_parked_lost[i] != 0) {
-      const std::size_t j = due_index(sh.rel_parked_edge[i]);
-      if (j != std::numeric_limits<std::size_t>::max()) losses[j] += 1;
-    }
-  }
-  // Pass 2: resolve each due window — repair survivals, recovery verdict,
-  // release round (floored against both FIFO watermarks) — and raise the
-  // edge's floor so post-release traffic stays behind the released stream.
-  std::vector<std::uint8_t> recovered(due.size(), 0);
-  std::vector<std::uint64_t> release(due.size(), 0);
-  for (std::size_t j = 0; j < due.size(); ++j) {
-    const std::size_t e = due[j];
-    const NodeId from = edge_owner_[e];
-    const NodeId to = graph_->neighbors(from)[e - edge_base_[from]];
-    recovered[j] =
-        rel_->fec_resolve(e, from, to, losses[j], sh.traffic) ? 1 : 0;
-    std::uint64_t rr = std::max(round_, rel_->floor_of(e));
-    if (faults_) rr = std::max(rr, faults_->arrival_floor(e));
-    release[j] = rr;
-    rel_->raise_floor(e, rr);
-  }
-  // Pass 3: walk the parked rows in park (= stream) order. Rows of due
-  // edges are released into the lanes at the edge's release round — or
-  // dropped for good if they were lost and the window did not recover —
-  // while rows of still-blocked edges are compacted into a rebuilt hold.
-  // Lanes were reset at the top of this stage phase and the link walk has
-  // not run yet, so released rows sit ahead of the round's fresh traffic.
-  MsgBlock keep;
-  std::vector<std::size_t> keep_edge;
-  std::vector<std::uint8_t> keep_lost;
-  for (std::size_t i = 0; i < sh.rel_parked.size(); ++i) {
-    const std::size_t e = sh.rel_parked_edge[i];
-    const std::size_t j = due_index(e);
-    if (j == std::numeric_limits<std::size_t>::max()) {
-      keep.append_from(sh.rel_parked, i, header_bits_);
-      keep_edge.push_back(e);
-      keep_lost.push_back(sh.rel_parked_lost[i]);
-      continue;
-    }
-    if (sh.rel_parked_lost[i] != 0 && recovered[j] == 0) {
-      sh.traffic.messages_lost += 1;  // nclint:allow(stats-batch) FEC resolution is a cold once-per-window path
-      continue;
-    }
-    const MsgBlock::Rec r = sh.rel_parked.record(i, header_bits_);
-    sh.lanes[plan_.node_shard[r.to]].append_from(sh.rel_parked, i,
-                                                 header_bits_, release[j]);
-  }
-  sh.rel_parked = std::move(keep);
-  sh.rel_parked_edge = std::move(keep_edge);
-  sh.rel_parked_lost = std::move(keep_lost);
 }
 
 void Network::stage_shard(unsigned s) {
@@ -658,15 +542,8 @@ void Network::stage_shard(unsigned s) {
   // re-carve the lane columns at last round's sizes.
   sh.arena.reset();
   for (auto& lane : sh.lanes) lane.begin_round();
-  // FEC window resolution first: released rows enter the lanes ahead of
-  // this round's fresh traffic (they are stream-earlier by construction),
-  // and a blocked edge is unblocked before any new message on it could be
-  // staged into a later window.
-  if (rel_ && rel_->fec() && !sh.rel_pending_edges.empty()) {
-    resolve_fec_windows(sh);
-  }
   if (sh.active_links.empty()) {
-    telem_exit();  // released FEC rows may sit in the lanes even so
+    telem_exit();
     return;
   }
   // Ascending (owner, neighbour-index) order within the shard; shards are
@@ -720,10 +597,9 @@ void Network::stage_shard(unsigned s) {
         // so the verdict degenerates to the fault decision.
         verdict = link_verdict(sh, e, from, to, count, 0, 0);
       }
-      const bool drop = verdict.fate != LinkVerdict::Fate::kDeliver;
       const std::size_t produced =
           link.drain_views(header_bits_, [&](const MsgView& v) {
-            if (!drop) lane.push(v, to, back, verdict.deliver_round);
+            if (!verdict.drop) lane.push(v, to, back, verdict.deliver_round);
           });
       if (produced > 0) link.release_idle();
     } else if (group_live && from == group_from &&
@@ -734,7 +610,7 @@ void Network::stage_shard(unsigned s) {
         verdict = link_verdict(sh, e, from, to, 1, group_view.key.kind,
                                group_view.wire_bits);
       }
-      if (verdict.fate == LinkVerdict::Fate::kDeliver) {
+      if (!verdict.drop) {
         const unsigned d = plan_.node_shard[to];
         MsgBlock& lane = sh.lanes[d];
         if (sh.bcast_open[d]) {
@@ -747,10 +623,6 @@ void Network::stage_shard(unsigned s) {
           sh.bcast_open[d] = 1;
           sh.bcast_touched.push_back(d);
         }
-      } else if (verdict.fate == LinkVerdict::Fate::kPark) {
-        // A parked copy leaves the broadcast group like a dropped one (no
-        // receiver entry); it gets its own heap row on the FEC hold.
-        park_row(sh, e, group_view, to, back, verdict);
       }
       link.release_idle();
     } else {
@@ -762,17 +634,14 @@ void Network::stage_shard(unsigned s) {
               link_verdict(sh, e, from, to, 1, view.key.kind, view.wire_bits);
         }
         const unsigned d = plan_.node_shard[to];
-        const bool staged = verdict.fate == LinkVerdict::Fate::kDeliver;
-        if (staged) {
+        if (!verdict.drop) {
           sh.lanes[d].push(view, to, back, verdict.deliver_round);
-        } else if (verdict.fate == LinkVerdict::Fate::kPark) {
-          park_row(sh, e, view, to, back, verdict);
         }
         if (dedup) {
           group_from = from;
           group_view = view;
           group_live = true;
-          if (staged) {
+          if (!verdict.drop) {
             sh.bcast_open[d] = 1;
             sh.bcast_touched.push_back(d);
           }
@@ -1003,7 +872,6 @@ bool Network::step(bool allow_fast_forward) {
     // network with nothing ahead is stuck.
     std::uint64_t next = std::min(next_alarm_round(), next_delayed_round());
     next = std::min(next, next_fault_event_round());
-    next = std::min(next, next_reliability_round());
     if (next == kNoAlarm || next <= round_) {
       stats_.stalled = true;
       stats_.rounds = round_;
@@ -1115,11 +983,9 @@ void Network::round_telemetry(double ts_us) {
   // a determinism convention rather than a correctness requirement).
   for (unsigned s = 0; s < shards_.size(); ++s) {
     Shard& sh = shards_[s];
-    telem_->note_shard_round(s, sh.telem_wakeups, sh.telem_staged,
-                             sh.telem_fec_parks);
+    telem_->note_shard_round(s, sh.telem_wakeups, sh.telem_staged);
     sh.telem_wakeups = 0;
     sh.telem_staged = 0;
-    sh.telem_fec_parks = 0;
     for (const auto& sp : sh.telem_spans) {
       telem_->add_span(sp.name, sp.tid, sp.round, sp.ts_us, sp.dur_us);
     }
@@ -1149,8 +1015,6 @@ StallReport Network::stall_report() const {
       r.delayed_in_flight += bucket.message_count();
       r.next_delayed_round = std::min(r.next_delayed_round, due);
     }
-    r.fec_parked += sh.rel_parked.size();
-    r.fec_pending_edges += sh.rel_pending_edges.size();
     r.active_links += sh.active_links.size();
   }
   return r;

@@ -88,10 +88,10 @@ struct NetConfig {
   FaultPlan faults;
 
   /// Link-reliability service compensating the fault plan's loss
-  /// (src/runtime/reliability.hpp): per-stream ACK + retransmission, or
-  /// erasure coding over stream windows. CONGEST only (the control-plane
-  /// accounting is defined against the CONGEST slot budget; the Network
-  /// constructor throws for LOCAL mode). Off by default and free when off.
+  /// (src/runtime/reliability.hpp): per-stream ACK + retransmission.
+  /// CONGEST only (the control-plane accounting is defined against the
+  /// CONGEST slot budget; the Network constructor throws for LOCAL mode).
+  /// Off by default and free when off.
   /// Reliability decisions are keyed hashes like fault decisions, so
   /// fixed-seed reliable runs stay bit-identical at every thread count.
   ReliabilityPlan reliability;
@@ -313,7 +313,7 @@ class Network {
 
   /// Post-mortem of the termination guards: where progress last happened
   /// and what was still pending (armed alarms, in-flight delayed traffic,
-  /// FEC horizons). Available with telemetry off — it reads state the
+  /// churn). Available with telemetry off — it reads state the
   /// engine keeps anyway — and cheap (one scan of nodes and shards), so
   /// drivers call it after any aborted run.
   [[nodiscard]] StallReport stall_report() const;
@@ -410,29 +410,16 @@ class Network {
     std::uint64_t bcast_saved = 0;
 
     /// Telemetry partials (NetConfig::telemetry only; zero cost otherwise):
-    /// per-round on_round invocations, lane messages staged and FEC parks,
-    /// plus this shard's phase spans of the round. All shard-thread-owned;
-    /// drained serially (in shard order) at the end of each round.
+    /// per-round on_round invocations and lane messages staged, plus this
+    /// shard's phase spans of the round. All shard-thread-owned; drained
+    /// serially (in shard order) at the end of each round.
     std::uint64_t telem_wakeups = 0;
     std::uint64_t telem_staged = 0;
-    std::uint64_t telem_fec_parks = 0;
     std::vector<Telemetry::Span> telem_spans;
 
     /// Churn schedule for this shard's nodes: round -> nodes whose crash or
     /// recovery fires then. Precomputed at construction; never stale.
     std::map<std::uint64_t, std::vector<NodeId>> fault_events;  // nclint:allow(ordered-map) churn events are rare and drained between rounds
-
-    /// Reliability service, FEC mode: messages of this shard's edges parked
-    /// behind an in-window loss (head-of-line blocking preserves stream
-    /// order while the window's recovery is undecided). Heap-backed like
-    /// the delayed buckets — parked rows cross rounds. The parallel vectors
-    /// carry each row's owning directed edge and its own loss verdict;
-    /// rel_pending_edges lists the blocked edges awaiting resolution
-    /// (appended on first park, drained by resolve_fec_windows).
-    MsgBlock rel_parked;
-    std::vector<std::size_t> rel_parked_edge;
-    std::vector<std::uint8_t> rel_parked_lost;
-    std::vector<std::size_t> rel_pending_edges;
   };
 
   /// Executes one round; returns false when execution must stop.
@@ -504,14 +491,11 @@ class Network {
   }
 
   /// Outcome of the combined fault + reliability channel decision for one
-  /// scheduled message: deliver (possibly at a future round), drop
-  /// permanently, or park behind an unresolved FEC window.
+  /// scheduled message: deliver (possibly at a future round) or drop
+  /// permanently.
   struct LinkVerdict {
-    enum class Fate { kDeliver, kDrop, kPark };
-    Fate fate = Fate::kDeliver;
+    bool drop = false;
     std::uint64_t deliver_round = 0;  ///< absolute round; 0 = on time
-    bool lost = false;        ///< kPark only: this copy's own loss verdict
-    bool first_park = false;  ///< kPark only: opened the edge's pending window
   };
 
   /// Channel verdict for the traffic scheduled on edge e this round
@@ -524,17 +508,6 @@ class Network {
   LinkVerdict link_verdict(Shard& sh, std::size_t e, NodeId from, NodeId to,
                            std::uint64_t count, std::uint16_t kind,
                            std::uint64_t wire_bits);
-
-  /// Parks one scheduled view on its shard's FEC hold (LinkVerdict::kPark).
-  void park_row(Shard& sh, std::size_t e, const MsgView& v, NodeId to,
-                std::uint32_t back_index, const LinkVerdict& verdict);
-
-  /// Resolves every pending FEC window of shard `sh` whose close round has
-  /// passed: draws the repair survivals, releases the parked rows (in park
-  /// = stream order) into the shard's lanes at the computed release round,
-  /// or drops the unrecovered losses. Runs at the top of the stage phase,
-  /// before any new traffic of the round is staged.
-  void resolve_fec_windows(Shard& sh);
 
   /// Queues `v` on its owning shard's wake list (no-op if done or queued).
   void wake(Shard& sh, NodeId v);
@@ -561,22 +534,6 @@ class Network {
     for (const auto& sh : shards_) {
       if (!sh.delayed.empty()) {
         best = std::min(best, sh.delayed.begin()->first);
-      }
-    }
-    return best;
-  }
-
-  /// Smallest future round at which a pending FEC window resolves, or
-  /// kNoAlarm. Keeps the round loop alive (and fast-forwarding landing on
-  /// the resolution round) while parked messages wait on a window close
-  /// with no other traffic or alarm pending.
-  [[nodiscard]] std::uint64_t next_reliability_round() const noexcept {
-    std::uint64_t best = kNoAlarm;
-    if (rel_ && rel_->fec()) {
-      for (const auto& sh : shards_) {
-        for (const std::size_t e : sh.rel_pending_edges) {
-          best = std::min(best, rel_->fec_close_round(e));
-        }
       }
     }
     return best;

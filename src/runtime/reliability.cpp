@@ -4,8 +4,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "util/check.hpp"
-
 namespace nc {
 
 namespace {
@@ -13,16 +11,15 @@ namespace {
 // Salts separating the reliability decision streams from each other and
 // from the fault salts in faults.cpp (the engines also derive distinct
 // seeds from the network seed, so the separation is belt-and-braces).
-constexpr std::uint64_t kSaltRelRetx = 0x4e58;    ///< retransmit survival
-constexpr std::uint64_t kSaltRelAck = 0xacc5;     ///< ACK survival
-constexpr std::uint64_t kSaltRelRepair = 0x4efa;  ///< repair-chunk survival
+constexpr std::uint64_t kSaltRelRetx = 0x4e58;  ///< retransmit survival
+constexpr std::uint64_t kSaltRelAck = 0xacc5;   ///< ACK survival
 
 }  // namespace
 
 void ReliabilityPlan::validate() const {
-  if (mode != Mode::kOff && mode != Mode::kAck && mode != Mode::kFec) {
+  if (mode != Mode::kOff && mode != Mode::kAck) {
     throw std::invalid_argument(
-        "reliability plan: rel_mode must be 0 (off), 1 (ack) or 2 (fec)");
+        "reliability plan: rel_mode must be 0 (off) or 1 (ack)");
   }
   if (ack_timeout == 0) {
     throw std::invalid_argument(
@@ -33,20 +30,12 @@ void ReliabilityPlan::validate() const {
         "reliability plan: rel_max_retx must be >= 1 (a zero-attempt ARQ is "
         "just the lossy channel)");
   }
-  if (fec_window == 0) {
-    throw std::invalid_argument(
-        "reliability plan: rel_fec_window must be >= 1 round");
-  }
 }
 
 std::string ReliabilityPlan::summary() const {
   if (!any()) return "none";
   std::ostringstream os;
-  if (mode == Mode::kAck) {
-    os << "ack(timeout=" << ack_timeout << ",retx=" << max_retx << ")";
-  } else {
-    os << "fec(window=" << fec_window << ",repair=" << fec_repair << ")";
-  }
+  os << "ack(timeout=" << ack_timeout << ",retx=" << max_retx << ")";
   return os.str();
 }
 
@@ -57,8 +46,6 @@ const ParamSet& reliability_param_defaults() {
         .with("rel_mode", static_cast<std::uint64_t>(d.mode))
         .with("rel_ack_timeout", d.ack_timeout)
         .with("rel_max_retx", d.max_retx)
-        .with("rel_fec_window", d.fec_window)
-        .with("rel_fec_repair", d.fec_repair)
         .with("rel_seed", d.rel_seed);
   }();
   return defaults;
@@ -75,15 +62,13 @@ ReliabilityPlan reliability_plan_from_params(const ParamSet& params) {
     return static_cast<std::uint64_t>(v);
   };
   const std::uint64_t mode = u64("rel_mode", 0);
-  if (mode > 2) {
+  if (mode > 1) {
     throw std::invalid_argument(
-        "reliability plan: rel_mode must be 0 (off), 1 (ack) or 2 (fec)");
+        "reliability plan: rel_mode must be 0 (off) or 1 (ack)");
   }
   plan.mode = static_cast<ReliabilityPlan::Mode>(mode);
   plan.ack_timeout = u64("rel_ack_timeout", plan.ack_timeout);
   plan.max_retx = u64("rel_max_retx", plan.max_retx);
-  plan.fec_window = u64("rel_fec_window", plan.fec_window);
-  plan.fec_repair = u64("rel_fec_repair", plan.fec_repair);
   plan.rel_seed = u64("rel_seed", plan.rel_seed);
   plan.validate();
   return plan;
@@ -102,15 +87,13 @@ ReliabilityEngine::ReliabilityEngine(const ReliabilityPlan& plan,
                                      const FaultEngine* faults,
                                      std::size_t directed_edges,
                                      unsigned header_bits,
-                                     std::size_t bandwidth_bits,
                                      std::uint64_t net_seed)
     : plan_(plan),
       fault_plan_(fault_plan),
       faults_(faults),
       seed_(plan.rel_seed != 0 ? plan.rel_seed
                                : net_seed ^ 0x4e11ab1e5eedULL),
-      ack_bits_(header_bits),
-      repair_bits_(bandwidth_bits) {
+      ack_bits_(header_bits) {
   plan_.validate();
 
   // Channel loss marginal without the targeted hook: the iid loss composed
@@ -127,11 +110,6 @@ ReliabilityEngine::ReliabilityEngine(const ReliabilityPlan& plan,
   base_marginal_ = 1.0 - (1.0 - fault_plan_.loss) * (1.0 - ge_marginal);
 
   floor_.assign(directed_edges, 0);
-  if (fec()) {
-    fec_win_.assign(directed_edges, 0);
-    fec_cnt_.assign(directed_edges, 0);
-    fec_blocked_.assign(directed_edges, 0);
-  }
 }
 
 double ReliabilityEngine::loss_marginal(NodeId src, NodeId dst) const {
@@ -221,78 +199,6 @@ std::uint64_t ReliabilityEngine::arq_recover(std::size_t edge, NodeId src,
   }
   (void)edge;
   return delivered_round;
-}
-
-bool ReliabilityEngine::fec_on_message(std::size_t edge, NodeId src,
-                                       NodeId dst, std::uint64_t round,
-                                       bool lost, RunStats& t,
-                                       bool* first_park) {
-  const std::uint64_t w = (round - 1) / plan_.fec_window;
-  if (fec_win_[edge] != w + 1) {
-    // Crossing into a new window. A blocked edge can never get here: its
-    // pending window is resolved at the top of the stage phase of every
-    // later round, strictly before any new message on the edge is staged.
-    nc_invariant(fec_blocked_[edge] == 0,
-                 "FEC window transition on a blocked edge — pending windows "
-                 "must be resolved before new traffic is staged");
-    if (fec_win_[edge] != 0) {
-      charge_repairs(edge, src, dst, fec_win_[edge] - 1, t);
-    }
-    fec_win_[edge] = w + 1;
-    fec_cnt_[edge] = 0;
-  }
-  fec_cnt_[edge] += 1;
-  if (fec_blocked_[edge] != 0) {
-    *first_park = false;
-    return true;
-  }
-  if (lost) {
-    fec_blocked_[edge] = 1;
-    *first_park = true;
-    return true;
-  }
-  *first_park = false;
-  return false;
-}
-
-bool ReliabilityEngine::fec_resolve(std::size_t edge, NodeId src, NodeId dst,
-                                    std::uint64_t losses, RunStats& t) {
-  nc_invariant(fec_win_[edge] != 0 && fec_blocked_[edge] != 0,
-               "fec_resolve on an edge without a pending blocked window");
-  const std::uint64_t w = fec_win_[edge] - 1;
-  const double p_fwd = loss_marginal(src, dst);
-  std::uint64_t survived = 0;
-  for (std::uint64_t j = 0; j < plan_.fec_repair; ++j) {
-    // Keyed on the *window index*, not a round: charge_repairs below draws
-    // the same keys, so lazily-charged and resolution-time evaluations of
-    // one window always agree, whatever order the round loop reaches them.
-    if (fault_uniform(seed_, kSaltRelRepair, w, edge, j) >= p_fwd) {
-      survived += 1;
-    }
-  }
-  charge_repairs(edge, src, dst, w, t);
-  const bool recovered = losses <= survived;
-  fec_win_[edge] = 0;
-  fec_cnt_[edge] = 0;
-  fec_blocked_[edge] = 0;
-  return recovered;
-}
-
-void ReliabilityEngine::charge_repairs(std::size_t edge, NodeId src,
-                                       NodeId dst, std::uint64_t w,
-                                       RunStats& t) {
-  if (fec_cnt_[edge] == 0) return;  // empty windows send no repairs
-  t.fec_repairs += plan_.fec_repair;
-  const double p_fwd = loss_marginal(src, dst);
-  for (std::uint64_t j = 0; j < plan_.fec_repair; ++j) {
-    if (fault_uniform(seed_, kSaltRelRepair, w, edge, j) >= p_fwd) {
-      // Only chunks that actually arrive are delivered traffic; lost
-      // repairs cost the sender a slot but never reach the receiver.
-      t.bits += repair_bits_;
-      t.bits_by_kind[kRelRepair] += repair_bits_;
-    }
-  }
-  fec_cnt_[edge] = 0;
 }
 
 }  // namespace nc

@@ -112,8 +112,6 @@ std::string StallReport::summary() const {
     os << " (next arrival round " << next_delayed_round << ")";
   }
   os << "\n";
-  os << "  fec parked: " << fec_parked << " messages on " << fec_pending_edges
-     << " edges\n";
   os << "  active links: " << active_links;
   return os.str();
 }
@@ -139,8 +137,6 @@ void StallReport::to_json(JsonWriter& w) const {
   opt_round("next_alarm_round", next_alarm_round);
   w.key("delayed_in_flight").value(delayed_in_flight);
   opt_round("next_delayed_round", next_delayed_round);
-  w.key("fec_parked").value(fec_parked);
-  w.key("fec_pending_edges").value(fec_pending_edges);
   w.key("active_links").value(active_links);
   w.end_object();
 }
@@ -179,10 +175,8 @@ std::uint32_t TelemetryEngine::register_probe(const char* name, bool counter) {
 }
 
 void TelemetryEngine::note_shard_round(unsigned shard, std::uint64_t wakeups,
-                                       std::uint64_t staged,
-                                       std::uint64_t fec_parks) {
+                                       std::uint64_t staged) {
   win_wakeups_ += wakeups;
-  win_fec_parks_ += fec_parks;
   win_shard_staged_[shard] += staged;
 }
 
@@ -237,7 +231,6 @@ void TelemetryEngine::end_round(std::uint64_t round, std::uint64_t active_links,
       m.delayed.push_back(stats.messages_delayed - last_delayed_);
       m.retransmitted.push_back(stats.messages_retransmitted -
                                 last_retransmitted_);
-      m.fec_parks.push_back(win_fec_parks_);
       m.bits.push_back(stats.bits - last_bits_);
       m.shard_staged_min.push_back(shards_ == 0 ? 0 : staged_min);
       m.shard_staged_max.push_back(staged_max);
@@ -263,7 +256,6 @@ void TelemetryEngine::end_round(std::uint64_t round, std::uint64_t active_links,
   for (auto& p : probe_states_) p.window = 0;
   std::fill(win_shard_staged_.begin(), win_shard_staged_.end(), 0);
   win_wakeups_ = 0;
-  win_fec_parks_ = 0;
   last_messages_ = stats.messages;
   last_bits_ = stats.bits;
   last_lost_ = stats.messages_lost;
@@ -322,7 +314,7 @@ std::string telemetry_metrics_jsonl(const Telemetry& t,
   {
     JsonWriter w;
     w.begin_object();
-    w.key("schema").value("nc-metrics-v1");
+    w.key("schema").value("nc-metrics-v2");
     if (!label.empty()) w.key("label").value(label);
     w.key("n").value(t.n);
     w.key("threads").value(t.threads);
@@ -362,7 +354,6 @@ std::string telemetry_metrics_jsonl(const Telemetry& t,
       w.key("lost").value(t.metrics.lost[i]);
       w.key("delayed").value(t.metrics.delayed[i]);
       w.key("retransmitted").value(t.metrics.retransmitted[i]);
-      w.key("fec_parks").value(t.metrics.fec_parks[i]);
       w.key("bits").value(t.metrics.bits[i]);
       w.key("shard_staged_min").value(t.metrics.shard_staged_min[i]);
       w.key("shard_staged_max").value(t.metrics.shard_staged_max[i]);

@@ -38,7 +38,6 @@ struct Telemetry {
     std::vector<std::uint64_t> lost;          ///< fault-engine drops in window
     std::vector<std::uint64_t> delayed;       ///< delay deferrals in window
     std::vector<std::uint64_t> retransmitted; ///< ARQ resends in window
-    std::vector<std::uint64_t> fec_parks;     ///< FEC head-of-line parks
     std::vector<std::uint64_t> bits;          ///< wire bits in window
 
     /// Shard load balance: min/max/mean of the per-shard staged-message
@@ -179,9 +178,6 @@ struct StallReport {
   std::uint64_t delayed_in_flight = 0;  ///< delay-deferred messages pending
   std::uint64_t next_delayed_round = kNone;
 
-  std::uint64_t fec_parked = 0;         ///< messages parked behind FEC windows
-  std::uint64_t fec_pending_edges = 0;  ///< edges with an open FEC horizon
-
   std::uint64_t active_links = 0;  ///< links with traffic pending
 
   [[nodiscard]] bool triggered() const noexcept {
@@ -245,7 +241,7 @@ class TelemetryEngine {
   /// Serial per-round drain, called once per shard in ascending shard
   /// order: folds the shard's per-round counters into the current window.
   void note_shard_round(unsigned shard, std::uint64_t wakeups,
-                        std::uint64_t staged, std::uint64_t fec_parks);
+                        std::uint64_t staged);
 
   /// Appends a phase span (serial section only; bounded by max_spans).
   void add_span(const char* name, std::uint32_t tid, std::uint64_t round,
@@ -275,7 +271,6 @@ class TelemetryEngine {
 
   // Window accumulators (reset at each emitted sample).
   std::uint64_t win_wakeups_ = 0;
-  std::uint64_t win_fec_parks_ = 0;
   std::vector<std::uint64_t> win_shard_staged_;  // per shard
 
   // Snapshot of the merged RunStats at the previous sample (for deltas).

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "algo/plans.hpp"
 #include "algo/registry.hpp"
 #include "core/boosting.hpp"
 #include "core/driver.hpp"
@@ -232,6 +233,50 @@ TEST(AlgorithmRegistry, FaultParamsReachTheNetwork) {
   EXPECT_THROW((void)run_algorithm(inst.graph, "dist_near_clique",
                                    AlgoParams().with("loss", 1.5), 1),
                std::invalid_argument);
+}
+
+TEST(AlgorithmRegistry, DistNearCliqueDeclaresEveryPlanKey) {
+  // The plan table and the registry must not drift apart: every key of
+  // every plan row's defaults is a declared dist_near_clique parameter
+  // with the plan's default value, and each row's declare key is one of
+  // its own keys.
+  const auto& declared =
+      AlgorithmRegistry::global().algorithm("dist_near_clique").defaults;
+  ASSERT_EQ(plan_table().size(), 3u);
+  for (const PlanRow& plan : plan_table()) {
+    SCOPED_TRACE(plan.name);
+    EXPECT_TRUE(plan.defaults().has_number(plan.declare_key));
+    EXPECT_TRUE(algorithm_declares("dist_near_clique", plan.declare_key));
+    for (const auto& [key, value] : plan.defaults().values()) {
+      ASSERT_TRUE(declared.has_number(key)) << key;
+      EXPECT_EQ(declared.get_double(key), value) << key;
+    }
+    EXPECT_EQ(find_plan(plan.name), &plan);
+  }
+  EXPECT_EQ(find_plan("params"), nullptr);
+}
+
+TEST(AlgorithmRegistry, RetiredReliabilityModeIsRejectedInAlgoParams) {
+  // rel_mode=2 and its window/repair keys are gone: the mode fails in the
+  // plan validator, the keys in the parameter catalogue.
+  const auto inst = small_instance();
+  const auto error_of = [&](const std::string& csv) {
+    try {
+      (void)AlgorithmRegistry::global().run(
+          inst.graph, parse_algo_spec("dist_near_clique", csv, 1));
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  EXPECT_NE(error_of("rel_mode=2").find("rel_mode must be 0 (off) or 1 (ack)"),
+            std::string::npos);
+  for (const char* csv : {"rel_fec_window=4", "rel_fec_repair=2"}) {
+    const std::string what = error_of(csv);
+    EXPECT_NE(what.find("has no parameter 'rel_fec_"), std::string::npos)
+        << what;
+    EXPECT_NE(what.find("rel_ack_timeout"), std::string::npos) << what;
+  }
 }
 
 TEST(AlgorithmRegistry, ParseAlgoSpecRoundTrip) {

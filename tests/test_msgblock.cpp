@@ -444,17 +444,19 @@ TEST(MsgBlock, AppendReceiverFromMaterializesDelayedUnicastCopy) {
   }
 }
 
+/// The top of the 5-bit kind field (unassigned; kRelAck sits just below).
+constexpr std::uint16_t kTopKind = kMaxMsgKinds - 1;
+
 TEST(MsgBlock, ReliabilityKindsRoundTripInlineIncludingMaxWidth) {
-  // The reliability service's wire kinds (kRelAck = 30, kRelRepair = 31)
-  // live at the top of the 5-bit kind field: a regression that narrows the
-  // packed kind bits truncates exactly these. Lock the round trip for an
-  // inline max-width row under each kind.
-  static_assert(kRelAck == 30 && kRelRepair == 31);
-  static_assert(kRelRepair < kMaxMsgKinds);
+  // The reliability service's ACK kind (kRelAck = 30) and kind 31 live at
+  // the top of the 5-bit kind field: a regression that narrows the packed
+  // kind bits truncates exactly these. Lock the round trip for an inline
+  // max-width row under each kind.
+  static_assert(kRelAck == 30 && kTopKind == 31);
   MsgBlock block;
   const std::uint64_t big = ~std::uint64_t{0};
   std::vector<Scheduled> scheduled(2);
-  const std::uint16_t kinds[2] = {kRelAck, kRelRepair};
+  const std::uint16_t kinds[2] = {kRelAck, kTopKind};
   for (std::size_t i = 0; i < 2; ++i) {
     schedule(scheduled[i], StreamKey{kinds[i], NodeId(40 + i), 2},
              {{big, 64}, {0x5a5au, 16}}, /*close=*/true, kHeader + 64 + 16);
@@ -479,8 +481,8 @@ TEST(MsgBlock, ReliabilityKindsRoundTripInlineIncludingMaxWidth) {
 
 TEST(MsgBlock, ReliabilityKindsRoundTripSpilled) {
   // Same kinds through the spilled encoding (meta's kSpillBit set alongside
-  // the top kind bits), plus the FEC-release hand-off: append_from with an
-  // explicit deliver round must rewrite the round column and nothing else.
+  // the top kind bits), plus the delayed-bucket hand-off: append_from must
+  // carry every column, the deliver round included.
   MsgBlock block;
   std::vector<std::pair<std::uint64_t, unsigned>> symbols;
   std::size_t payload_bits = 0;
@@ -490,18 +492,18 @@ TEST(MsgBlock, ReliabilityKindsRoundTripSpilled) {
         (std::uint64_t{i + 1} * 0x9e3779b97f4a7c15u) >> (64 - w), w);
     payload_bits += w;
   }
-  for (const std::uint16_t kind : {kRelAck, kRelRepair}) {
+  const std::uint16_t kinds[2] = {kRelAck, kTopKind};
+  const std::uint64_t rounds[2] = {123, 456};
+  for (std::size_t i = 0; i < 2; ++i) {
     Scheduled s;
-    schedule(s, StreamKey{kind, 9000, 0}, symbols, /*close=*/true,
+    schedule(s, StreamKey{kinds[i], 9000, 0}, symbols, /*close=*/true,
              kHeader + payload_bits);
     ASSERT_TRUE(s.ok);
-    block.push(s.view, 7, 3, 0);
+    block.push(s.view, 7, 3, rounds[i]);
   }
-  MsgBlock released;  // heap mode, the rel_parked -> lane release path
-  released.append_from(block, 0, kHeader, /*deliver_round=*/123);
-  released.append_from(block, 1, kHeader, /*deliver_round=*/456);
-  const std::uint64_t rounds[2] = {123, 456};
-  const std::uint16_t kinds[2] = {kRelAck, kRelRepair};
+  MsgBlock released;  // heap mode, the lane -> delayed-bucket path
+  released.append_from(block, 0, kHeader);
+  released.append_from(block, 1, kHeader);
   for (std::size_t i = 0; i < 2; ++i) {
     const MsgBlock::Rec r = released.record(i, kHeader);
     EXPECT_EQ(r.key.kind, kinds[i]);

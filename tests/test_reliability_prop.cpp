@@ -43,12 +43,6 @@ TEST(ReliabilityPlan, ParsesCsvAndValidates) {
   EXPECT_EQ(arq.max_retx, 5u);
   EXPECT_TRUE(arq.any());
 
-  const ReliabilityPlan fec =
-      parse_reliability_plan("rel_mode=2,rel_fec_window=8,rel_fec_repair=3");
-  EXPECT_EQ(fec.mode, ReliabilityPlan::Mode::kFec);
-  EXPECT_EQ(fec.fec_window, 8u);
-  EXPECT_EQ(fec.fec_repair, 3u);
-
   EXPECT_FALSE(ReliabilityPlan{}.any());
   EXPECT_FALSE(parse_reliability_plan("rel_mode=0").any());
   EXPECT_THROW((void)parse_reliability_plan("rel_mode=3"),
@@ -57,28 +51,49 @@ TEST(ReliabilityPlan, ParsesCsvAndValidates) {
                std::invalid_argument);
   EXPECT_THROW((void)parse_reliability_plan("rel_mode=1,rel_max_retx=0"),
                std::invalid_argument);
-  EXPECT_THROW((void)parse_reliability_plan("rel_mode=2,rel_fec_window=0"),
-               std::invalid_argument);
   EXPECT_THROW((void)parse_reliability_plan("no_such_knob=1"),
                std::invalid_argument);
+
+  // Mode 2 and its window/repair keys are not part of the plan: the mode
+  // fails with the range message, the keys with the key catalogue.
+  const auto error_of = [](const std::string& csv) {
+    try {
+      (void)parse_reliability_plan(csv);
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  EXPECT_NE(error_of("rel_mode=2").find("rel_mode must be 0 (off) or 1 (ack)"),
+            std::string::npos)
+      << error_of("rel_mode=2");
+  for (const char* csv : {"rel_mode=1,rel_fec_window=4", "rel_fec_repair=2"}) {
+    const std::string what = error_of(csv);
+    EXPECT_NE(what.find("reliability plan has no parameter 'rel_fec_"),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("parameters: rel_ack_timeout, rel_max_retx, "
+                        "rel_mode, rel_seed"),
+              std::string::npos)
+        << what;
+  }
 }
 
 TEST(ReliabilityPlan, DefaultsDeclareEveryKey) {
   const auto& defaults = reliability_param_defaults();
-  for (const char* key : {"rel_mode", "rel_ack_timeout", "rel_max_retx",
-                          "rel_fec_window", "rel_fec_repair", "rel_seed"}) {
+  for (const char* key :
+       {"rel_mode", "rel_ack_timeout", "rel_max_retx", "rel_seed"}) {
     EXPECT_TRUE(defaults.has_number(key)) << key;
   }
+  EXPECT_EQ(defaults.keys().size(), 4u);
   // The all-defaults plan is the unprotected network.
   EXPECT_FALSE(reliability_plan_from_params(defaults).any());
 }
 
 TEST(ReliabilityPlan, SummaryNamesActiveMode) {
   EXPECT_EQ(ReliabilityPlan{}.summary(), "none");
-  EXPECT_NE(parse_reliability_plan("rel_mode=1").summary().find("ack"),
-            std::string::npos);
-  EXPECT_NE(parse_reliability_plan("rel_mode=2").summary().find("fec"),
-            std::string::npos);
+  EXPECT_EQ(parse_reliability_plan("rel_mode=1,rel_max_retx=5").summary(),
+            "ack(timeout=2,retx=5)");
 }
 
 TEST(ReliabilityPlan, LocalModeRejectsReliability) {
@@ -111,8 +126,7 @@ TEST(ReliabilityStats, ArqPermanentLossRateIsLossToTheRetxPower) {
   plan.ack_timeout = 1;
   plan.max_retx = 4;
   ReliabilityEngine engine(plan, faults, nullptr, /*directed_edges=*/2,
-                           /*header_bits=*/16, /*bandwidth_bits=*/64,
-                           /*net_seed=*/5);
+                           /*header_bits=*/16, /*net_seed=*/5);
   RunStats t;
   std::size_t permanent = 0;
   const std::size_t trials = 100'000;
@@ -139,7 +153,7 @@ TEST(ReliabilityStats, ArqDeliveredPathChargesAcksOnly) {
   // exactly one ACK per message and never a retransmission.
   ReliabilityPlan plan;
   plan.mode = ReliabilityPlan::Mode::kAck;
-  ReliabilityEngine engine(plan, FaultPlan{}, nullptr, 2, 16, 64, 5);
+  ReliabilityEngine engine(plan, FaultPlan{}, nullptr, 2, 16, 5);
   RunStats t;
   for (std::uint64_t r = 1; r <= 1000; ++r) {
     engine.arq_account_delivered(0, 0, 1, r, 1, 80, t);
@@ -163,9 +177,9 @@ struct PropCase {
 };
 
 /// Derives plan #i from a seeded generator: loss model (iid or
-/// Gilbert–Elliott), delay jitter, occasional churn, and alternating
-/// ARQ/FEC protection with generous budgets (the conformance property is
-/// *complete* erasure of the adversity, so the budgets are sized for it).
+/// Gilbert–Elliott), delay jitter, occasional churn, and ARQ protection
+/// with a generous retransmit budget (the conformance property is
+/// *complete* erasure of the adversity, so the budget is sized for it).
 PropCase make_case(std::size_t i) {
   Rng rng(0x4e11ab1e0000ULL + i);
   PropCase c;
@@ -195,17 +209,9 @@ PropCase make_case(std::size_t i) {
     c.desc += " churn";
   }
   c.faults.fault_seed = 1000 + i;
-  if (i % 2 == 0) {
-    c.rel.mode = ReliabilityPlan::Mode::kAck;
-    c.rel.ack_timeout = 1;
-    c.rel.max_retx = 12 + rng.next_below(6);
-    c.desc += " arq";
-  } else {
-    c.rel.mode = ReliabilityPlan::Mode::kFec;
-    c.rel.fec_window = 2 + rng.next_below(3);
-    c.rel.fec_repair = 8 + rng.next_below(4);
-    c.desc += " fec";
-  }
+  c.rel.mode = ReliabilityPlan::Mode::kAck;
+  c.rel.ack_timeout = 1;
+  c.rel.max_retx = 12 + rng.next_below(6);
   if (i % 3 == 0) c.rel.rel_seed = 77 + i;
   return c;
 }
@@ -263,7 +269,6 @@ void run_case_range(std::size_t lo, std::size_t hi) {
       EXPECT_EQ(ref.stats.messages_retransmitted,
                 sharded.stats.messages_retransmitted);
       EXPECT_EQ(ref.stats.acks_sent, sharded.stats.acks_sent);
-      EXPECT_EQ(ref.stats.fec_repairs, sharded.stats.fec_repairs);
       EXPECT_EQ(ref.labels, sharded.labels);
       EXPECT_EQ(ref.total_local_ops, sharded.total_local_ops);
     }
@@ -274,12 +279,7 @@ void run_case_range(std::size_t lo, std::size_t hi) {
       EXPECT_EQ(ref.stats.messages_lost, 0u);
       EXPECT_EQ(ref.labels, clean.labels);
     }
-    if (c.rel.mode == ReliabilityPlan::Mode::kAck) {
-      EXPECT_GT(ref.stats.acks_sent, 0u);
-      EXPECT_EQ(ref.stats.fec_repairs, 0u);
-    } else {
-      EXPECT_EQ(ref.stats.acks_sent, 0u);
-    }
+    EXPECT_GT(ref.stats.acks_sent, 0u);
   }
 }
 
@@ -347,11 +347,12 @@ TEST(ReliabilityAdversarial, ArqRecoversTargetedLossOnHighestDegreeNodes) {
   EXPECT_EQ(protected_run.labels, clean_reference().labels);
 }
 
-TEST(ReliabilityAdversarial, FecRecoversTargetedLossOnPlantedBoundary) {
+TEST(ReliabilityAdversarial, ArqRecoversTargetedLossOnPlantedBoundary) {
   // Loss concentrated on the planted-clique boundary (edges with exactly
   // one endpoint inside the planted set) attacks the halo traffic that
-  // separates the near-clique from the background. FEC with a deep repair
-  // budget reconstructs every blocked window and reproduces the clean run.
+  // separates the near-clique from the background. ARQ with a deep
+  // retransmit budget recovers every lost message and reproduces the clean
+  // run.
   const Instance& inst = adversarial_instance();
   const std::vector<NodeId> planted = inst.planted;  // sorted by contract
   const auto hook = [planted](NodeId src, NodeId dst) {
@@ -367,12 +368,12 @@ TEST(ReliabilityAdversarial, FecRecoversTargetedLossOnPlantedBoundary) {
   EXPECT_GT(bare.stats.messages_lost, 0u);
   EXPECT_NE(bare.labels, clean_reference().labels);
 
-  cfg.net.reliability.mode = ReliabilityPlan::Mode::kFec;
-  cfg.net.reliability.fec_window = 2;
-  cfg.net.reliability.fec_repair = 16;
+  cfg.net.reliability.mode = ReliabilityPlan::Mode::kAck;
+  cfg.net.reliability.ack_timeout = 1;
+  cfg.net.reliability.max_retx = 24;  // 0.5^24 ~ 6e-8 permanent-loss rate
   const NearCliqueResult protected_run = run_dist_near_clique(inst.graph, cfg);
   EXPECT_EQ(protected_run.stats.messages_lost, 0u);
-  EXPECT_GT(protected_run.stats.fec_repairs, 0u);
+  EXPECT_GT(protected_run.stats.messages_retransmitted, 0u);
   EXPECT_EQ(protected_run.labels, clean_reference().labels);
 }
 

@@ -9,6 +9,7 @@
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "expt/sweep.hpp"
@@ -251,6 +252,30 @@ TEST(Sweep, FaultKeysWorkAsGridAxes) {
   EXPECT_DOUBLE_EQ(rows[1].algo_merged.get_double("loss"), 0.05);
 }
 
+TEST(Sweep, RetiredReliabilityModeFailsAsGridAxis) {
+  // A rel_mode=2 axis reaches the dist_near_clique adapter, whose plan
+  // validator rejects it; an axis on a retired key fails in the parameter
+  // catalogue before any trial runs.
+  SweepSpec spec;
+  spec.scenario_family = "theorem";
+  spec.scenario_params = ScenarioParams().with("n", 40);
+  spec.algorithms = {{"dist_near_clique", {}}};
+  spec.trials = 1;
+  const std::pair<const char*, const char*> cases[] = {
+      {"rel_mode", "rel_mode must be 0 (off) or 1 (ack)"},
+      {"rel_fec_window", "has no parameter 'rel_fec_window'"}};
+  for (const auto& [key, message] : cases) {
+    spec.axes = {{SweepAxis::Target::kAlgorithm, key, {2}}};
+    try {
+      (void)run_sweep(spec);
+      ADD_FAILURE() << "expected std::invalid_argument for " << key;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(message), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 SweepSpec full_spec() {
   SweepSpec spec;
   spec.title = "spec file roundtrip";
@@ -267,6 +292,8 @@ SweepSpec full_spec() {
   spec.seeds = SeedSchedule::kSequential;
   spec.threads = 2;
   spec.faults = ParamSet().with("loss", 0.02).with("delay_max", 3);
+  spec.reliability = ParamSet().with("rel_mode", 1).with("rel_max_retx", 6);
+  spec.telemetry = ParamSet().with("tel_metrics", 1).with("tel_stride", 4);
   spec.success.kind = SuccessSpec::Kind::kTheorem57;
   spec.success.eps = 0.15;
   spec.success2.kind = SuccessSpec::Kind::kSizeDensity;
@@ -301,6 +328,8 @@ TEST(SweepSpecJson, RoundTripsEveryField) {
   EXPECT_EQ(back.seeds, spec.seeds);
   EXPECT_EQ(back.threads, spec.threads);
   EXPECT_EQ(back.faults.values(), spec.faults.values());
+  EXPECT_EQ(back.reliability.values(), spec.reliability.values());
+  EXPECT_EQ(back.telemetry.values(), spec.telemetry.values());
   EXPECT_EQ(back.success.kind, spec.success.kind);
   EXPECT_DOUBLE_EQ(back.success.eps, spec.success.eps);
   EXPECT_TRUE(std::isnan(back.success.delta));  // kFromParams survives
@@ -354,6 +383,30 @@ TEST(SweepSpecJson, RejectsMalformedDocuments) {
                    R"("algorithms":[{"name":"peeling"}],)"
                    R"("faults":{"packet_loss":0.1}})"),
                std::invalid_argument);
+  // So are rel_mode=2 and its retired window/repair keys, with the
+  // reliability plan's own range message and key catalogue.
+  const auto reliability_error = [](const std::string& bag) {
+    try {
+      (void)sweep_spec_from_json(R"({"scenario":{"family":"barbell"},)"
+                                 R"("algorithms":[{"name":"peeling"}],)"
+                                 R"("reliability":)" +
+                                 bag + "}");
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  EXPECT_NE(reliability_error(R"({"rel_mode":2})")
+                .find("rel_mode must be 0 (off) or 1 (ack)"),
+            std::string::npos);
+  for (const char* bag : {R"({"rel_mode":1,"rel_fec_window":4})",
+                          R"({"rel_fec_repair":2})"}) {
+    const std::string what = reliability_error(bag);
+    EXPECT_NE(what.find("parameters: rel_ack_timeout, rel_max_retx, "
+                        "rel_mode, rel_seed"),
+              std::string::npos)
+        << what;
+  }
   // Count fields must be integral, matching the CLI flags' strictness.
   for (const char* bad :
        {R"("trials": 2.9)", R"("seed_base": 1.5)", R"("threads": 2.5)"}) {
