@@ -145,8 +145,8 @@ int usage(std::FILE* to) {
       "faults included; see src/expt/README.md for the schema).\n"
       "run --repeat=N --time re-runs the fixed-seed execution N times and\n"
       "reports min/median/mean wall-clock (scenario build excluded).\n"
-      "run --profile adds engine per-phase seconds (stage/deliver/fused/\n"
-      "wake) and broadcast dedup savings to the text and JSON output.\n");
+      "run --profile adds engine per-phase seconds (stage/deliver/wake)\n"
+      "and broadcast payload savings to the text and JSON output.\n");
   return to == stdout ? 0 : 2;
 }
 
@@ -518,8 +518,6 @@ int cmd_run(const Args& args) {
           .value(pr.stage_seconds)
           .key("deliver_seconds")
           .value(pr.deliver_seconds)
-          .key("fused_seconds")
-          .value(pr.fused_seconds)
           .key("wake_seconds")
           .value(pr.wake_seconds)
           .key("arena_bytes_total")
@@ -592,15 +590,13 @@ int cmd_run(const Args& args) {
                 t_median, t_mean);
   }
   if (profiled) {
-    // Per-phase engine seconds of the last run. fused covers the 1-thread
-    // clean-run stage+deliver pass (stage/deliver stay 0 there); bytes
-    // saved counts lane payload copies avoided by broadcast dedup.
+    // Per-phase engine seconds of the last run; bytes saved counts lane
+    // payload copies avoided by staging a broadcast once per lane.
     const NetProfile& pr = result.profile;
     std::printf(
-        "per-phase: stage %.3fs, deliver %.3fs, fused %.3fs, wake %.3fs; "
+        "per-phase: stage %.3fs, deliver %.3fs, wake %.3fs; "
         "broadcast payload bytes saved: %llu\n",
-        pr.stage_seconds, pr.deliver_seconds, pr.fused_seconds,
-        pr.wake_seconds,
+        pr.stage_seconds, pr.deliver_seconds, pr.wake_seconds,
         static_cast<unsigned long long>(pr.broadcast_payload_bytes_saved));
   }
   std::printf("near-cliques found: %zu\n", clusters.size());

@@ -316,6 +316,18 @@ std::vector<SweepRow> run_sweep(const SweepSpec& spec,
                        "scenario family '" + spec.scenario_family + "'");
       row.algo_merged = merge_params(entry.defaults, row.algo_params,
                                      "algorithm '" + algo.name + "'");
+      // Plan keys reach a row by several routes (spec bag, per-algorithm
+      // params, grid axes); each plan's share of the row must validate as a
+      // whole plan here, before any instance is generated.
+      for (const PlanRow& plan : plan_table()) {
+        ParamSet bag;
+        for (const auto& [key, value] : plan.defaults().values()) {
+          if (row.algo_params.has_number(key)) {
+            bag.with(key, row.algo_params.get_double(key));
+          }
+        }
+        if (!bag.keys().empty()) plan.validate(bag);
+      }
       row.trials = spec.trials;
       row.seed_base = spec.seed_base;
       row.seeds = spec.seeds;

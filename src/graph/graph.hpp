@@ -46,6 +46,13 @@ class Graph {
     return {adj_.data() + offset_[v], offset_[v + 1] - offset_[v]};
   }
 
+  /// Every adjacency row concatenated in node order: the i-th neighbour of
+  /// `v` sits at index offset(v) + i, so the array maps a directed edge of
+  /// the CSR layout to its target.
+  [[nodiscard]] std::span<const NodeId> adjacency() const noexcept {
+    return adj_;
+  }
+
   /// Degree of `v`.
   [[nodiscard]] std::size_t degree(NodeId v) const noexcept {
     return offset_[v + 1] - offset_[v];

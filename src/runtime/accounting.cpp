@@ -47,7 +47,6 @@ void RunStats::merge_traffic(const RunStats& other) {
 void NetProfile::absorb(const NetProfile& other) {
   stage_seconds += other.stage_seconds;
   deliver_seconds += other.deliver_seconds;
-  fused_seconds += other.fused_seconds;
   wake_seconds += other.wake_seconds;
   arena_bytes_total = std::max(arena_bytes_total, other.arena_bytes_total);
   arena_bytes_peak_shard =

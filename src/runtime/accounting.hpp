@@ -87,11 +87,13 @@ struct TrafficBatch {
   std::uint64_t max_message_bits = 0;
   std::array<std::uint64_t, kMaxMsgKinds> bits_by_kind{};
 
-  void charge(std::uint16_t kind, std::uint64_t wire_bits) noexcept {
-    messages += 1;
-    bits += wire_bits;
+  /// Charges `copies` messages of `wire_bits` each.
+  void charge(std::uint16_t kind, std::uint64_t wire_bits,
+              std::uint64_t copies) noexcept {
+    messages += copies;
+    bits += wire_bits * copies;
     if (wire_bits > max_message_bits) max_message_bits = wire_bits;
-    bits_by_kind[kind] += wire_bits;
+    bits_by_kind[kind] += wire_bits * copies;
   }
 
   void flush_into(RunStats& stats) const noexcept {
@@ -112,13 +114,13 @@ struct TrafficBatch {
 /// to a phase and a memory footprint, not just a headline rate
 /// (docs/benchmarks.md documents the JSON fields).
 struct NetProfile {
-  double stage_seconds = 0.0;    ///< wall-clock in the stage phase (staged engine)
-  double deliver_seconds = 0.0;  ///< deliver phase (staged engine)
-  double fused_seconds = 0.0;    ///< fused stage+deliver pass (1-thread clean
-                                 ///< runs; its stage and deliver work are
-                                 ///< inseparable without a per-edge clock
-                                 ///< read, so it is booked as its own phase)
+  double stage_seconds = 0.0;    ///< wall-clock in the stage phase
+  double deliver_seconds = 0.0;  ///< deliver phase
   double wake_seconds = 0.0;     ///< wake phase (protocol callbacks)
+  /// Always 0 (every thread count books stage_seconds / deliver_seconds).
+  /// Kept only because the end-to-end benchmark harness
+  /// (e2ebench/e2e_run.cpp) reads it.
+  double fused_seconds = 0.0;
 
   /// Arena accounting: sum and per-shard max of the shard arenas'
   /// high-water marks (bytes of per-round transient storage).
@@ -130,11 +132,9 @@ struct NetProfile {
   std::uint64_t lane_msgs_peak = 0;
   std::uint64_t delayed_msgs_peak = 0;
 
-  /// Payload bytes the staged engine did not copy into lanes because
-  /// broadcast dedup fanned an already-staged row out to another receiver
-  /// (NetConfig::broadcast_dedup). The fused 1-thread path delivers
-  /// straight from the producer buffer — it has no lane copies to save —
-  /// so this stays 0 there by construction.
+  /// Payload bytes the stage phase did not copy into lanes because a
+  /// broadcast copy shared an already-staged payload of its lane
+  /// (MsgBlock::add_copy) instead of staging its own.
   std::uint64_t broadcast_payload_bytes_saved = 0;
 
   /// Accumulates another profile (multi-trial benches).

@@ -9,13 +9,6 @@ void Link::add_stream(const StreamKey& key,
   streams_.push_back(ActiveStream{key, std::move(state), 0, 0, false});
 }
 
-bool Link::has_pending() const noexcept {
-  for (const auto& s : streams_) {
-    if (s.pending()) return true;
-  }
-  return false;
-}
-
 void Link::prune_done() {
   // Streams whose EOS has been delivered can never carry traffic again;
   // dropping them keeps per-round scheduling proportional to *active*

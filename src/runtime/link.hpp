@@ -60,7 +60,12 @@ class Link {
                   std::shared_ptr<const OutStreamState> state);
 
   /// True if any stream has undelivered symbols or an undelivered EOS.
-  [[nodiscard]] bool has_pending() const noexcept;
+  [[nodiscard]] bool has_pending() const noexcept {
+    for (const auto& s : streams_) {
+      if (s.pending()) return true;
+    }
+    return false;
+  }
 
   /// Schedules one message within `budget_bits` total (header included) as a
   /// zero-copy view into the chosen stream's shared payload buffer. The

@@ -142,17 +142,6 @@ void SymbolBuffer::append_packed(const std::uint64_t* src_words,
   }
 }
 
-std::uint64_t SymbolBuffer::value_at(std::size_t bit_off,
-                                     unsigned width) const noexcept {
-  const std::size_t word = bit_off >> 6;
-  const unsigned off = static_cast<unsigned>(bit_off & 63);
-  const std::uint64_t* w = words();
-  std::uint64_t v = w[word] >> off;
-  if (off + width > 64) v |= w[word + 1] << (64 - off);
-  if (width < 64) v &= (1ULL << width) - 1;
-  return v;
-}
-
 std::uint64_t SymbolCursor::pop() noexcept {
   const unsigned width = buf_->width_at(index_);
   const std::uint64_t v = buf_->value_at(bit_off_, width);

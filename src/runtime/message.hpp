@@ -93,7 +93,15 @@ class SymbolBuffer {
   /// Value of the symbol starting at bit offset `bit_off` with given width.
   /// (Sequential readers track offsets themselves; see SymbolCursor.)
   [[nodiscard]] std::uint64_t value_at(std::size_t bit_off,
-                                       unsigned width) const noexcept;
+                                       unsigned width) const noexcept {
+    const std::size_t word = bit_off >> 6;
+    const unsigned off = static_cast<unsigned>(bit_off & 63);
+    const std::uint64_t* w = words();
+    std::uint64_t v = w[word] >> off;
+    if (off + width > 64) v |= w[word + 1] << (64 - off);
+    if (width < 64) v &= (1ULL << width) - 1;
+    return v;
+  }
 
   /// Raw packed words (little-endian bit order within each word). With
   /// word_count() and widths(), lets the runtime's SoA lanes blit symbol

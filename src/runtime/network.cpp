@@ -178,7 +178,7 @@ Network::Network(const Graph& g, const NetConfig& config,
       for (std::size_t i = 0; i < nb.size(); ++i) {
         const std::size_t e = edge_base_[v] + i;
         edge_owner_[e] = v;
-        reverse_index_[e] = cursor[nb[i]]++;
+        reverse_index_[e] = static_cast<std::uint32_t>(cursor[nb[i]]++);
       }
     }
   }
@@ -196,20 +196,18 @@ Network::Network(const Graph& g, const NetConfig& config,
     shards_[s].end = plan_.end(s);
     shards_[s].woken.assign(shards_[s].end - shards_[s].begin, 0);
     shards_[s].lanes.resize(k);
-    shards_[s].bcast_open.assign(k, 0);
-    // Lane columns carve from the owning shard's per-round arena; the
+    // Lane storage carves from the owning shard's per-round arena; the
     // cross-round delayed buckets stay heap-backed (default bind).
     for (auto& lane : shards_[s].lanes) lane.bind(&shards_[s].arena);
   }
   // The whole determinism story rests on this: shards are contiguous ID
   // ranges covering [0, n), so merging lanes in ascending source-shard
-  // order reproduces the serial engine's global ascending-edge delivery
-  // order bit for bit.
+  // order reproduces the global ascending-edge delivery order bit for bit.
   for (unsigned s = 0; s < k; ++s) {
     nc_invariant(shards_[s].begin == (s == 0 ? 0 : shards_[s - 1].end) &&
                      shards_[s].begin <= shards_[s].end,
                  "shard partition must be contiguous — the lane merge order "
-                 "equals the serial delivery order only then");
+                 "equals the ascending-edge order only then");
   }
   nc_invariant(shards_[k - 1].end == n_,
                "shard partition must cover every node");
@@ -229,9 +227,7 @@ Network::Network(const Graph& g, const NetConfig& config,
     }
   }
 
-  // Reliability service (only for active plans; like the fault engine, an
-  // active service forces the staged round path so the per-message decision
-  // point is unique).
+  // Reliability service (only for active plans).
   if (config.reliability.any()) {
     if (config.mode == NetConfig::Mode::kLocal) {
       throw std::invalid_argument(
@@ -245,9 +241,8 @@ Network::Network(const Graph& g, const NetConfig& config,
   }
 
   // Telemetry engine (opt-in). Built before on_start so nodes can register
-  // probes there. Unlike faults_/rel_ it never changes the pipeline's path
-  // choice — the fused fast path stays fused — because recording only
-  // *reads* engine state the round loop maintains anyway.
+  // probes there. Recording only *reads* engine state the round loop
+  // maintains anyway.
   if (config.telemetry.any()) {
     telem_ = std::make_unique<TelemetryEngine>(config.telemetry, k);
     if (config.telemetry.trace) {
@@ -386,70 +381,32 @@ void Network::apply_fault_events() {
   }
 }
 
-void Network::deliver_view(Shard& dst, TrafficBatch& batch, NodeId to,
-                           std::size_t back_index, const MsgView& v) {
-  auto& st = states_[to];
-  st.rx_by_kind[v.key.kind] += 1;
-  InStream& stream = st.inbox.open(back_index, v.key);
-  if (v.symbol_count > 0 && v.symbol_count <= 2) {
-    // Inline fast path mirroring deliver_record: the dominant CONGEST kinds
-    // carry 1–2 symbols, not worth the bulk-blit setup.
-    const std::uint8_t* widths = v.buf->widths() + v.first_symbol;
-    stream.deliver(v.buf->value_at(v.bit_off, widths[0]), widths[0]);
-    if (v.symbol_count == 2) {
-      stream.deliver(v.buf->value_at(v.bit_off + widths[0], widths[1]),
-                     widths[1]);
+void Network::deliver_row(Shard& dst, TrafficBatch& batch,
+                          const MsgBlock::Rec& r) {
+  // A row is the directed-edge range [edge, edge + copies) of one sender:
+  // each copy's destination and reverse index come from the CSR mirror.
+  const NodeId* to = graph_->adjacency().data() + r.edge;
+  const std::uint32_t* back = reverse_index_.data() + r.edge;
+  for (std::uint32_t j = 0; j < r.copies; ++j) {
+    if (j + 2 < r.copies) prefetch_dst(to[j + 2]);
+    nc_invariant(to[j] >= dst.begin && to[j] < dst.end,
+                 "staged copy routed to a shard that does not own its "
+                 "destination node");
+    auto& st = states_[to[j]];
+    st.rx_by_kind[r.key.kind] += 1;
+    InStream& stream = st.inbox.open(back[j], r.key);
+    if (r.spilled) {
+      stream.deliver_packed(r.pay_words, r.pay_word_count, 0, r.pay_bits,
+                            r.pay_widths, r.symbol_count);
+    } else {
+      // Inline fast path: the dominant CONGEST kinds carry 1–2 words.
+      if (r.symbol_count >= 1) stream.deliver(r.v0, r.w0);
+      if (r.symbol_count == 2) stream.deliver(r.v1, r.w1);
     }
-  } else if (v.symbol_count > 0) {
-    stream.deliver_packed(v.buf->words(), v.buf->word_count(), v.bit_off,
-                          v.bit_len, v.buf->widths() + v.first_symbol,
-                          v.symbol_count);
+    if (r.eos) stream.deliver_eos();
+    wake(dst, to[j]);
   }
-  if (v.eos) stream.deliver_eos();
-  wake(dst, to);
-  batch.charge(v.key.kind, v.wire_bits);
-}
-
-void Network::deliver_record(Shard& dst, TrafficBatch& batch,
-                             const MsgBlock::Rec& r) {
-  nc_invariant(r.to >= dst.begin && r.to < dst.end,
-               "staged row routed to a shard that does not own its "
-               "destination node");
-  auto& st = states_[r.to];
-  st.rx_by_kind[r.key.kind] += 1;
-  InStream& stream = st.inbox.open(r.back_index, r.key);
-  if (r.spilled) {
-    stream.deliver_packed(r.pay_words, r.pay_word_count, 0, r.pay_bits,
-                          r.pay_widths, r.symbol_count);
-  } else {
-    // Inline fast path: the dominant CONGEST kinds carry 1–2 words.
-    if (r.symbol_count >= 1) stream.deliver(r.v0, r.w0);
-    if (r.symbol_count == 2) stream.deliver(r.v1, r.w1);
-  }
-  if (r.eos) stream.deliver_eos();
-  wake(dst, r.to);
-  batch.charge(r.key.kind, r.wire_bits);
-}
-
-void Network::deliver_copy(Shard& dst, TrafficBatch& batch,
-                           const MsgBlock::Rec& r,
-                           const MsgBlock::Receiver& rcv) {
-  nc_invariant(rcv.to >= dst.begin && rcv.to < dst.end,
-               "broadcast receiver routed to a shard that does not own its "
-               "destination node");
-  auto& st = states_[rcv.to];
-  st.rx_by_kind[r.key.kind] += 1;
-  InStream& stream = st.inbox.open(rcv.back_index, r.key);
-  if (r.spilled) {
-    stream.deliver_packed(r.pay_words, r.pay_word_count, 0, r.pay_bits,
-                          r.pay_widths, r.symbol_count);
-  } else {
-    if (r.symbol_count >= 1) stream.deliver(r.v0, r.w0);
-    if (r.symbol_count == 2) stream.deliver(r.v1, r.w1);
-  }
-  if (r.eos) stream.deliver_eos();
-  wake(dst, rcv.to);
-  batch.charge(r.key.kind, r.wire_bits);
+  batch.charge(r.key.kind, r.wire_bits, r.copies);
 }
 
 Network::LinkVerdict Network::link_verdict(Shard& sh, std::size_t e,
@@ -539,9 +496,12 @@ void Network::stage_shard(unsigned s) {
     }
   };
   // O(1) rewind of the whole previous round's transient storage, then
-  // re-carve the lane columns at last round's sizes.
-  sh.arena.reset();
-  for (auto& lane : sh.lanes) lane.begin_round();
+  // re-carve the lanes at last round's sizes. A round after one that
+  // allocated nothing has nothing to rewind or re-carve.
+  if (sh.arena.bytes_used() > 0) {
+    sh.arena.reset();
+    for (auto& lane : sh.lanes) lane.begin_round();
+  }
   if (sh.active_links.empty()) {
     telem_exit();
     return;
@@ -555,41 +515,39 @@ void Network::stage_shard(unsigned s) {
     std::sort(sh.active_links.begin(), sh.active_links.end());
   }
   std::size_t kept = 0;
-  MsgView view;
-  // Broadcast grouping (CONGEST + dedup only): active links are walked in
-  // ascending (owner, neighbour-index) order, so the sibling links of one
-  // open_stream_all are consecutive. The first link of a run schedules
-  // normally and becomes the group head; every following link of the same
-  // owner whose next message is byte-identical to the head view
-  // (Link::schedule_matches) skips the packing loop and lands in its lane
-  // as a packed receiver entry on the group's open row — payload staged
-  // once per (src-shard, dst-shard), not once per edge. Faults still run
-  // per edge: a dropped copy simply adds no receiver, a delayed copy
-  // carries its own deliver round in the receiver entry.
-  const bool dedup = config_.broadcast_dedup &&
-                     config_.mode == NetConfig::Mode::kCongest;
+  // Broadcast grouping (CONGEST only): active links are walked in ascending
+  // (owner, neighbour-index) order, so the sibling links of one
+  // open_stream_all are consecutive directed edges. The first link of a run
+  // schedules normally and becomes the group head; every following link of
+  // the same owner whose next message is byte-identical to the head view
+  // (Link::schedule_matches) skips the packing loop and joins the group's
+  // row in its destination lane (MsgBlock::add_copy) — payload staged once
+  // per (src-shard, dst-shard) lane, not once per edge. Faults still run
+  // per edge: a dropped copy stages nothing, which ends the row's edge
+  // range; a delayed copy gets a row of its own carrying its deliver round.
+  // Only group members stage while a group is live, so the lane the group
+  // staged into last (group_lane) is the one lane whose last row is the
+  // group's. (The sender's neighbours are sorted and shards contiguous, so
+  // a group reaches its lanes in ascending order and never comes back.)
+  constexpr unsigned kNoLane = ~0u;
   const bool profiling = config_.profile != nullptr;
   const bool adversity = faults_ != nullptr || rel_ != nullptr;
+  const NodeId* target = graph_->adjacency().data();
+  const bool single_shard = shards_.size() == 1;
   NodeId group_from = 0;
   bool group_live = false;
+  unsigned group_lane = kNoLane;
   MsgView group_view;
-  auto close_group = [&]() {
-    if (!group_live) return;
-    group_live = false;
-    for (const unsigned d : sh.bcast_touched) sh.bcast_open[d] = 0;
-    sh.bcast_touched.clear();
-  };
   for (const std::size_t e : sh.active_links) {
     const NodeId from = edge_owner_[e];
-    const std::size_t ni = e - edge_base_[from];
-    Link& link = states_[from].out_links[ni];
-    const NodeId to = graph_->neighbors(from)[ni];
-    const auto back = static_cast<std::uint32_t>(reverse_index_[e]);
+    Link& link = states_[from].out_links[e - edge_base_[from]];
+    const NodeId to = target[e];
+    const unsigned d = single_shard ? 0u : plan_.node_shard[to];
+    MsgBlock& lane = sh.lanes[d];
     if (config_.mode == NetConfig::Mode::kLocal) {
       // One channel decision covers the whole drained batch; the count is
       // known up front (one message per pending stream). A dropped batch
       // still advances the streams — the traffic was sent, then lost.
-      MsgBlock& lane = sh.lanes[plan_.node_shard[to]];
       const std::size_t count = link.pending_stream_count();
       LinkVerdict verdict;
       if (faults_ && count > 0) {
@@ -599,7 +557,7 @@ void Network::stage_shard(unsigned s) {
       }
       const std::size_t produced =
           link.drain_views(header_bits_, [&](const MsgView& v) {
-            if (!verdict.drop) lane.push(v, to, back, verdict.deliver_round);
+            if (!verdict.drop) lane.push(v, e, verdict.deliver_round);
           });
       if (produced > 0) link.release_idle();
     } else if (group_live && from == group_from &&
@@ -611,40 +569,33 @@ void Network::stage_shard(unsigned s) {
                                group_view.wire_bits);
       }
       if (!verdict.drop) {
-        const unsigned d = plan_.node_shard[to];
-        MsgBlock& lane = sh.lanes[d];
-        if (sh.bcast_open[d]) {
-          lane.add_receiver(to, back, verdict.deliver_round);
+        if (d == group_lane) {
+          lane.add_copy(e, verdict.deliver_round);
           if (profiling) sh.bcast_saved += (group_view.bit_len + 7) / 8;
         } else {
           // First surviving copy headed for this destination shard: the
           // lane needs its own payload copy (lanes never share storage).
-          lane.push(group_view, to, back, verdict.deliver_round);
-          sh.bcast_open[d] = 1;
-          sh.bcast_touched.push_back(d);
+          lane.push(group_view, e, verdict.deliver_round);
+          group_lane = d;
         }
       }
       link.release_idle();
     } else {
-      close_group();
-      if (link.schedule_view(bandwidth_bits_, header_bits_, view)) {
+      // The head schedules straight into group_view: the previous group
+      // is over either way.
+      group_live = false;
+      if (link.schedule_view(bandwidth_bits_, header_bits_, group_view)) {
         LinkVerdict verdict;
         if (adversity) {
-          verdict =
-              link_verdict(sh, e, from, to, 1, view.key.kind, view.wire_bits);
+          verdict = link_verdict(sh, e, from, to, 1, group_view.key.kind,
+                                 group_view.wire_bits);
         }
-        const unsigned d = plan_.node_shard[to];
+        group_from = from;
+        group_live = true;
+        group_lane = kNoLane;
         if (!verdict.drop) {
-          sh.lanes[d].push(view, to, back, verdict.deliver_round);
-        }
-        if (dedup) {
-          group_from = from;
-          group_view = view;
-          group_live = true;
-          if (!verdict.drop) {
-            sh.bcast_open[d] = 1;
-            sh.bcast_touched.push_back(d);
-          }
+          lane.push(group_view, e, verdict.deliver_round);
+          group_lane = d;
         }
         link.release_idle();
       }
@@ -655,7 +606,6 @@ void Network::stage_shard(unsigned s) {
       link_active_[e] = 0;
     }
   }
-  close_group();
   sh.active_links.resize(kept);
   if (profiling) {
     std::uint64_t staged = 0;
@@ -665,73 +615,6 @@ void Network::stage_shard(unsigned s) {
   telem_exit();
 }
 
-void Network::deliver_round_serial() {
-  Shard& sh = shards_[0];
-  if (sh.active_links.empty()) return;
-  if (!std::is_sorted(sh.active_links.begin(), sh.active_links.end())) {
-    std::sort(sh.active_links.begin(), sh.active_links.end());
-  }
-  std::size_t kept = 0;
-  MsgView view;
-  TrafficBatch batch;
-  // The fused path can't dedup payload copies (each inbox needs its own
-  // symbols), but it reuses the broadcast classifier to skip the per-symbol
-  // packing walk for every sibling link after the first: a match means
-  // `view` already describes the message, so the link just advances.
-  const bool dedup = config_.broadcast_dedup &&
-                     config_.mode == NetConfig::Mode::kCongest;
-  NodeId group_from = 0;
-  bool group_live = false;
-  const std::size_t n_active = sh.active_links.size();
-  for (std::size_t idx = 0; idx < n_active; ++idx) {
-    const std::size_t e = sh.active_links[idx];
-    const NodeId from = edge_owner_[e];
-    const std::size_t ni = e - edge_base_[from];
-    Link& link = states_[from].out_links[ni];
-    const NodeId to = graph_->neighbors(from)[ni];
-    const std::size_t back = reverse_index_[e];
-    if (idx + 2 < n_active) {
-      // Each delivery lands on a random destination's ~2 KB NodeState (the
-      // counters, the inbox bucket headers) — cold misses that dominate the
-      // per-copy cost on high-degree graphs. Peeking two active links ahead
-      // overlaps the next destinations' misses with this copy's work (one
-      // link ahead is not enough lead time for the dependent-miss chain).
-      const std::size_t e2 = sh.active_links[idx + 2];
-      const NodeId from2 = edge_owner_[e2];
-      const NodeId to2 = graph_->neighbors(from2)[e2 - edge_base_[from2]];
-      prefetch_dst(to2);
-    }
-    if (config_.mode == NetConfig::Mode::kLocal) {
-      const std::size_t produced =
-          link.drain_views(header_bits_, [&](const MsgView& v) {
-            deliver_view(sh, batch, to, back, v);
-          });
-      if (produced > 0) link.release_idle();
-    } else if (group_live && from == group_from &&
-               link.schedule_matches(bandwidth_bits_, header_bits_, view)) {
-      deliver_view(sh, batch, to, back, view);
-      link.release_idle();
-    } else {
-      group_live = false;
-      if (link.schedule_view(bandwidth_bits_, header_bits_, view)) {
-        deliver_view(sh, batch, to, back, view);
-        if (dedup) {
-          group_from = from;
-          group_live = true;
-        }
-        link.release_idle();
-      }
-    }
-    if (link.has_pending()) {
-      sh.active_links[kept++] = e;
-    } else {
-      link_active_[e] = 0;
-    }
-  }
-  sh.active_links.resize(kept);
-  batch.flush_into(sh.traffic);
-}
-
 void Network::deliver_shard(unsigned d) {
   Shard& dst = shards_[d];
   using clock = std::chrono::steady_clock;
@@ -739,7 +622,9 @@ void Network::deliver_shard(unsigned d) {
   clock::time_point tt0;
   if (trace_shard) tt0 = clock::now();
   TrafficBatch batch;
-  if (faults_ || rel_) {
+  const NodeId* target = graph_->adjacency().data();
+  const bool adversity = faults_ != nullptr || rel_ != nullptr;
+  if (adversity) {
     // Delayed traffic falls due ahead of this round's on-time traffic, in
     // the order it was queued (by stage round, then canonical merge order
     // within one — a thread-count-invariant sequence). A destination that
@@ -748,10 +633,10 @@ void Network::deliver_shard(unsigned d) {
       MsgBlock& bucket = dst.delayed.begin()->second;
       for (std::size_t i = 0; i < bucket.size(); ++i) {
         const MsgBlock::Rec r = bucket.record(i, header_bits_);
-        if (faults_ && faults_->crashed_at(r.to, round_)) {
+        if (faults_ && faults_->crashed_at(target[r.edge], round_)) {
           dst.traffic.messages_dropped_crash += 1;  // nclint:allow(stats-batch) crash-silencing is rare; batching it would complicate the delayed-bucket walk
         } else {
-          deliver_record(dst, batch, r);
+          deliver_row(dst, batch, r);
         }
       }
       if (config_.profile != nullptr) dst.delayed_msgs -= bucket.size();
@@ -760,40 +645,22 @@ void Network::deliver_shard(unsigned d) {
   }
   for (Shard& src : shards_) {
     const MsgBlock& lane = src.lanes[d];
-    for (std::size_t i = 0; i < lane.size(); ++i) {
+    const std::size_t rows = lane.size();
+    for (std::size_t i = 0; i < rows; ++i) {
+      // Each row lands on a random destination's NodeState; peeking two
+      // rows ahead overlaps those cold misses with this row's work.
+      if (i + 2 < rows) prefetch_dst(target[lane.edge(i + 2)]);
       const MsgBlock::Rec r = lane.record(i, header_bits_);
-      if (r.bcast) {
-        // Broadcast row: one shared payload, receivers expanded in packed
-        // order — which is ascending edge order within the lane, exactly
-        // the sequence the per-edge path would have staged, so per-node
-        // delivery order and accounting are bit-identical. Each receiver
-        // carries its own deliver round (faults decide per copy); a future
-        // copy is materialized into the bucket as a plain per-edge row.
-        for (std::uint32_t j = 0; j < r.rcv_count; ++j) {
-          const MsgBlock::Receiver rcv = lane.receiver(r.rcv_begin + j);
-          if (j + 2 < r.rcv_count) {
-            prefetch_dst(lane.receiver(r.rcv_begin + j + 2).to);
-          }
-          if ((faults_ || rel_) && rcv.deliver_round > round_) {
-            dst.delayed[rcv.deliver_round].append_receiver_from(
-                lane, i, rcv, header_bits_);
-            if (config_.profile != nullptr) {
-              ++dst.delayed_msgs;
-              if (dst.delayed_msgs > dst.delayed_peak) {
-                dst.delayed_peak = dst.delayed_msgs;
-              }
-            }
-          } else {
-            deliver_copy(dst, batch, r, rcv);
-          }
-        }
-      } else if ((faults_ || rel_) && r.deliver_round > round_) {
+      if (adversity && r.deliver_round > round_) {
         // In flight: copy the staged row (payload and all) into this
         // shard's future bucket — the arena-backed lane is rewound next
         // round, so the bucket owns a heap copy. Touching lane[src][d]
         // from shard d is safe: in the deliver phase a lane is read only
         // by its destination shard (the pool barrier separates it from
         // the stage phase's writes).
+        nc_invariant(r.copies == 1,
+                     "a delayed row carries exactly one copy (add_copy never "
+                     "extends a delayed row)");
         dst.delayed[r.deliver_round].append_from(lane, i, header_bits_);
         if (config_.profile != nullptr) {
           ++dst.delayed_msgs;
@@ -802,7 +669,7 @@ void Network::deliver_shard(unsigned d) {
           }
         }
       } else {
-        deliver_record(dst, batch, r);
+        deliver_row(dst, batch, r);
       }
     }
   }
@@ -893,9 +760,6 @@ bool Network::step(bool allow_fast_forward) {
   // Two-phase delivery, then wake dispatch — each phase parallel over
   // shards with a barrier in between (stage writes source-shard state,
   // deliver reads the staged lanes and writes destination-shard state).
-  // A single shard fuses the two phases: no lanes, no round-sized buffer —
-  // except under an active fault plan, where even one shard takes the
-  // staged path so the loss/delay/churn decision points exist exactly once.
   // Clock reads exist only on the opt-in profiling/tracing paths.
   using clock = std::chrono::steady_clock;
   const bool prof = config_.profile != nullptr;
@@ -903,49 +767,29 @@ bool Network::step(bool allow_fast_forward) {
   if (telem_) telem_->begin_round(round_);
   clock::time_point t0;
   if (prof || tr) t0 = clock::now();
-  if (shards_.size() == 1 && !faults_ && !rel_) {
-    deliver_round_serial();
-    if (prof || tr) {
-      // The fused loop schedules and delivers in one pass; splitting its
-      // time into stage/deliver would require a clock read per edge. It is
-      // booked honestly as its own phase instead (fused_seconds), so a
-      // 1-thread profile no longer shows stage_seconds: 0 with the stage
-      // work hidden inside deliver_seconds.
-      const auto t1 = clock::now();
-      if (prof) {
-        prof_.fused_seconds += std::chrono::duration<double>(t1 - t0).count();
-      }
-      if (tr) {
-        telem_->add_span("fused", 0, round_, span_ts_us(telem_epoch_ns_, t0),
-                         span_dur_us(t0, t1));
-      }
-      t0 = t1;
+  for_each_shard([this](unsigned s) { stage_shard(s); });
+  if (prof || tr) {
+    const auto t1 = clock::now();
+    if (prof) {
+      prof_.stage_seconds += std::chrono::duration<double>(t1 - t0).count();
     }
-  } else {
-    for_each_shard([this](unsigned s) { stage_shard(s); });
-    if (prof || tr) {
-      const auto t1 = clock::now();
-      if (prof) {
-        prof_.stage_seconds += std::chrono::duration<double>(t1 - t0).count();
-      }
-      if (tr) {
-        telem_->add_span("stage", 0, round_, span_ts_us(telem_epoch_ns_, t0),
-                         span_dur_us(t0, t1));
-      }
-      t0 = t1;
+    if (tr) {
+      telem_->add_span("stage", 0, round_, span_ts_us(telem_epoch_ns_, t0),
+                       span_dur_us(t0, t1));
     }
-    for_each_shard([this](unsigned s) { deliver_shard(s); });
-    if (prof || tr) {
-      const auto t1 = clock::now();
-      if (prof) {
-        prof_.deliver_seconds += std::chrono::duration<double>(t1 - t0).count();
-      }
-      if (tr) {
-        telem_->add_span("deliver", 0, round_, span_ts_us(telem_epoch_ns_, t0),
-                         span_dur_us(t0, t1));
-      }
-      t0 = t1;
+    t0 = t1;
+  }
+  for_each_shard([this](unsigned s) { deliver_shard(s); });
+  if (prof || tr) {
+    const auto t1 = clock::now();
+    if (prof) {
+      prof_.deliver_seconds += std::chrono::duration<double>(t1 - t0).count();
     }
+    if (tr) {
+      telem_->add_span("deliver", 0, round_, span_ts_us(telem_epoch_ns_, t0),
+                       span_dur_us(t0, t1));
+    }
+    t0 = t1;
   }
   // Serial reduction in shard order: exact (integer sums/maxes), so stats_
   // is bit-identical to serial accumulation at every shard count.

@@ -76,7 +76,8 @@ struct NetConfig {
   /// wake list, and the per-round phases run on a fixed pool of this many
   /// threads. Fixed-seed executions are bit-identical at every value (the
   /// two-phase round merges staged messages in shard order, which equals
-  /// the serial delivery order); 0 and 1 both mean the serial engine.
+  /// the global ascending-edge order); 0 and 1 both mean one shard and no
+  /// pool.
   /// Clamped to [1, kMaxShards].
   unsigned threads = 1;
 
@@ -95,17 +96,6 @@ struct NetConfig {
   /// Reliability decisions are keyed hashes like fault decisions, so
   /// fixed-seed reliable runs stay bit-identical at every thread count.
   ReliabilityPlan reliability;
-
-  /// Broadcast payload dedup (CONGEST only): consecutive sibling links that
-  /// would schedule the identical view of one shared stream are staged as a
-  /// single broadcast row per (src-shard → dst-shard) lane — payload once,
-  /// receivers as packed indices — instead of one payload copy per edge.
-  /// Purely an engine optimization: fixed-seed RunStats, labels and fault
-  /// verdicts are bit-identical either way (every copy still gets its own
-  /// per-(src, dst) loss/delay/crash decision; locked by
-  /// tests/test_determinism.cpp). False forces the historical per-edge
-  /// path — the comparison baseline for benches and the determinism tests.
-  bool broadcast_dedup = true;
 
   /// Opt-in engine profiling: when non-null, the network accumulates
   /// per-phase wall-clock and arena/lane peaks here over its lifetime
@@ -233,15 +223,15 @@ class NodeApi {
 /// and a bucketed alarm queue, so per-round work is proportional to actual
 /// traffic, not to n + m, and fast-forwarding over an idle stretch is O(1).
 ///
-/// With NetConfig::threads = k > 1 the nodes are partitioned into k
+/// With NetConfig::threads = k the nodes are partitioned into k
 /// CSR-contiguous shards and every round runs as a deterministic two-phase
-/// pipeline on a fixed thread pool: a parallel *stage* phase where each
+/// pipeline (on a fixed thread pool when k > 1): a *stage* phase where each
 /// source shard schedules its active links into per-(src-shard → dst-shard)
-/// lanes, and a parallel *deliver + wake* phase where each destination
+/// lanes, and a *deliver + wake* phase where each destination
 /// shard merges its incoming lanes in ascending source-shard order, applies
 /// them to its nodes' inboxes, then runs its woken nodes in ID order.
 /// Because shards are contiguous ID ranges, the merge order equals the
-/// serial engine's global ascending-edge delivery order, so fixed-seed
+/// global ascending-edge delivery order at every k, so fixed-seed
 /// executions are bit-identical at every thread count (locked by
 /// tests/test_determinism.cpp).
 ///
@@ -368,14 +358,14 @@ class Network {
     /// Owned nodes that called set_done().
     NodeId done_count = 0;
 
-    /// Per-round transient storage: every lane column below carves from
+    /// Per-round transient storage: every lane array below carves from
     /// this bump arena, which the stage phase rewinds in O(1) at the top of
     /// each round (src/util/arena.hpp).
     Arena arena;
 
-    /// Staged outgoing messages, by destination shard — SoA columns plus a
-    /// shared packed-payload region per lane (src/runtime/msgblock.hpp),
-    /// arena-backed.
+    /// Staged outgoing messages, by destination shard — edge-range rows
+    /// plus a shared packed-payload region per lane
+    /// (src/runtime/msgblock.hpp), arena-backed.
     std::vector<MsgBlock> lanes;
 
     /// Per-round traffic partials, reduced into stats_ after the deliver
@@ -392,18 +382,10 @@ class Network {
     /// rewind storage that crosses its reset boundary.
     std::map<std::uint64_t, MsgBlock> delayed;  // nclint:allow(ordered-map) cross-round delay buckets exist only under an active fault plan
 
-    /// Broadcast-grouping scratch for the stage phase: bcast_open[d] marks
-    /// that lane d's *last* row belongs to the broadcast group currently
-    /// being staged (so the next sibling copy extends it via add_receiver
-    /// instead of pushing a fresh payload); bcast_touched lists the lanes
-    /// with a set flag so closing a group is O(group lanes), not O(k).
-    std::vector<std::uint8_t> bcast_open;
-    std::vector<unsigned> bcast_touched;
-
     /// Profiling partials (NetConfig::profile only; zero cost otherwise):
     /// peak messages staged by this shard in one round, the current / peak
     /// count of messages parked in `delayed`, and the payload bytes this
-    /// shard avoided re-staging thanks to broadcast dedup.
+    /// shard avoided re-staging thanks to broadcast grouping.
     std::uint64_t staged_peak = 0;
     std::uint64_t delayed_msgs = 0;
     std::uint64_t delayed_peak = 0;
@@ -429,12 +411,6 @@ class Network {
   /// and compacts the active set. Touches only shard-s-owned state.
   void stage_shard(unsigned s);
 
-  /// The single-shard fast path: stage and deliver fused — each scheduled
-  /// view is applied to its destination inbox immediately, with no lane
-  /// buffering at all — in the exact delivery order of the pre-sharding
-  /// serial engine.
-  void deliver_round_serial();
-
   /// Deliver phase: merges every source shard's lane for destination shard
   /// d in ascending source-shard order and applies the staged messages to
   /// d's nodes (inboxes, rx counters, wake list, traffic partials).
@@ -456,23 +432,12 @@ class Network {
     }
   }
 
-  /// Applies one just-scheduled view directly to its destination node
-  /// (serial fused path: the payload moves producer buffer → inbox in one
-  /// blit, never touching a lane). Charges `batch`.
-  void deliver_view(Shard& dst, TrafficBatch& batch, NodeId to,
-                    std::size_t back_index, const MsgView& v);
-
-  /// Applies one staged lane/bucket row to its destination node, charging
-  /// `batch` (flushed into the shard's traffic partial once per phase).
-  void deliver_record(Shard& dst, TrafficBatch& batch, const MsgBlock::Rec& r);
-
-  /// Applies one receiver's copy of a staged *broadcast* row: identical to
-  /// deliver_record except the destination and reverse index come from the
-  /// packed receiver entry, while payload, key and wire accounting come
-  /// from the shared row — each copy is charged exactly what the per-edge
-  /// path would have charged it.
-  void deliver_copy(Shard& dst, TrafficBatch& batch, const MsgBlock::Rec& r,
-                    const MsgBlock::Receiver& rcv);
+  /// Applies every copy of one staged lane/bucket row to its destination
+  /// node — destinations and reverse indices read from the CSR mirror over
+  /// the row's edge range — charging `batch` (flushed into the shard's
+  /// traffic partial once per phase). Each copy is charged exactly what a
+  /// separately staged message would have been.
+  void deliver_row(Shard& dst, TrafficBatch& batch, const MsgBlock::Rec& r);
 
   /// Hints the destination node's hot state into cache one delivery ahead
   /// of use: deliveries land on essentially random 384-byte NodeStates, and
@@ -579,12 +544,14 @@ class Network {
   std::vector<NodeState> states_;
 
   // CSR mirror of the communication graph's directed edges. Edge
-  // e = edge_base_[v] + ni is v's ni-th outgoing link; reverse_index_[e] is
-  // the index of v in the *target's* adjacency list, precomputed so a
-  // delivery does no binary search; edge_owner_[e] recovers v from e.
+  // e = edge_base_[v] + ni is v's ni-th outgoing link and targets
+  // graph_->adjacency()[e]; reverse_index_[e] is the index of v in the
+  // *target's* adjacency list, precomputed so a delivery does no binary
+  // search (32 bits suffice: it is below the target's degree, hence below
+  // n); edge_owner_[e] recovers v from e.
   std::vector<std::size_t> edge_base_;     // n+1 offsets
   std::vector<NodeId> edge_owner_;         // 2m
-  std::vector<std::size_t> reverse_index_; // 2m
+  std::vector<std::uint32_t> reverse_index_; // 2m
 
   // Shared iota [0, max_degree) so open_stream_all needs no allocation.
   std::vector<std::size_t> iota_;
@@ -599,15 +566,13 @@ class Network {
   std::vector<Shard> shards_;
   std::unique_ptr<ShardPool> pool_;
 
-  // Fault engine (null for the default fault-free plan). When active, even
-  // a 1-shard network takes the staged two-phase round so the loss/delay/
+  // Fault engine (null for the default fault-free plan). Its loss/delay/
   // churn decision points exist exactly once, in the stage and deliver
   // phases.
   std::unique_ptr<FaultEngine> faults_;
 
-  // Reliability engine (null when NetConfig::reliability is off). Same
-  // rule as faults_: an active service forces the staged path so the
-  // per-message decision point is unique.
+  // Reliability engine (null when NetConfig::reliability is off); its
+  // per-message decision point is the stage phase's link verdict.
   std::unique_ptr<ReliabilityEngine> rel_;
 
   // Engine profile partials, accumulated only when config_.profile is set
@@ -620,8 +585,7 @@ class Network {
 
   // Telemetry engine (null unless NetConfig::telemetry requests a facet
   // and attaches a sink — the zero-cost-when-off contract is this null
-  // check). Unlike faults_/rel_, an active engine never changes the
-  // round pipeline's path choice: the fused fast path stays fused.
+  // check).
   std::unique_ptr<TelemetryEngine> telem_;
 
   // Wall-clock offset helper state for trace spans: nanoseconds-since-

@@ -1,7 +1,5 @@
 #include "util/arena.hpp"
 
-#include <algorithm>
-
 #include "util/check.hpp"
 
 namespace nc {
@@ -62,11 +60,25 @@ void* Arena::allocate(std::size_t size, std::size_t align) {
   return out;
 }
 
+bool Arena::extend(void* p, std::size_t old_size,
+                   std::size_t new_size) noexcept {
+  if (head_ == nullptr ||
+      static_cast<unsigned char*>(p) + old_size != head_->data() + offset_ ||
+      offset_ + (new_size - old_size) > head_->capacity) {
+    return false;
+  }
+  offset_ += new_size - old_size;
+  used_ += new_size - old_size;
+  if (used_ > high_water_) high_water_ = used_;
+  return true;
+}
+
 void Arena::reset() {
   if (head_ != nullptr && head_->prev != nullptr) {
     // Multi-block round: replace the chain with one block sized for the
-    // observed footprint so the steady state is a single rewind.
-    const std::size_t want = std::max(capacity_, used_);
+    // round's footprint (not the chain's capacity, which can be ~9x that),
+    // so the steady state is a single rewind.
+    const std::size_t want = used_;
     release();
     grow(want);
   }
@@ -90,7 +102,7 @@ void Arena::release() {
 }
 
 void Arena::grow(std::size_t need) {
-  std::size_t want = head_ == nullptr ? kMinBlockBytes : head_->capacity * 2;
+  std::size_t want = head_ == nullptr ? kMinBlockBytes : head_->capacity * 8;
   if (want < need) want = need;
   // operator new returns max_align storage and sizeof(Block) is a multiple
   // of that alignment, so Block::data() (== this + 1) starts max_aligned.

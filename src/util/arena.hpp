@@ -20,10 +20,15 @@ namespace nc {
 /// rewinds in O(1) and keeps the memory for the next round. Nothing is ever
 /// freed individually (allocations are trivially-destructible by contract).
 ///
-/// Growth: when a block fills, a new block of at least twice the previous
-/// capacity is chained. `reset` with more than one live block coalesces
-/// them into a single block sized for the observed footprint, so the steady
-/// state is one block and one offset rewind per round.
+/// Growth: the most recent allocation can grow in place (`extend`), so the
+/// last ArenaVec to grow does so without abandoning its old span. When a
+/// block fills, a new block of at least eight times the previous capacity
+/// is chained: pages are touched only as they are bumped, so spare capacity
+/// costs address space rather than resident memory, and fewer chain steps
+/// mean fewer spans a growing ArenaVec copies out of and abandons. `reset`
+/// with more than one live block coalesces them into a single block of the
+/// round's footprint (`bytes_used()`, not the chain's capacity), so the
+/// steady state is one block and one offset rewind per round.
 ///
 /// Accounting: `bytes_used()` is the live bump offset (including alignment
 /// padding and spans abandoned by growing ArenaVecs — the honest transient
@@ -60,6 +65,12 @@ class Arena {
                   std::is_trivially_destructible_v<T>);
     return static_cast<T*>(allocate(count * sizeof(T), alignof(T)));
   }
+
+  /// Grows the allocation at `p` from `old_size` to `new_size` bytes in
+  /// place when it is the most recent allocation and the current block has
+  /// room; returns false (nothing changed) otherwise. This is what lets the
+  /// last-allocated ArenaVec grow without abandoning its old span.
+  bool extend(void* p, std::size_t old_size, std::size_t new_size) noexcept;
 
   /// Invalidates every allocation and rewinds to an empty arena in O(1),
   /// keeping (and, after a multi-block round, coalescing) the backing
@@ -195,6 +206,11 @@ class ArenaVec {
     if (want < need) want = need;
     T* fresh;
     if (arena_ != nullptr) {
+      if (data_ != nullptr &&
+          arena_->extend(data_, capacity_ * sizeof(T), want * sizeof(T))) {
+        capacity_ = want;
+        return;
+      }
       fresh = arena_->allocate_array<T>(want);
     } else {
       fresh = static_cast<T*>(::operator new(want * sizeof(T)));

@@ -69,6 +69,20 @@ TEST(Arena, GrowthAcrossBlocksThenCoalescesOnReset) {
   EXPECT_EQ(arena.high_water_bytes(), hw);
 }
 
+TEST(Arena, CoalescedBlockIsTheRoundFootprintNotTheChain) {
+  Arena arena;
+  arena.allocate(4096, 8);  // fills the first (minimum-size) block
+  arena.allocate(100, 8);   // chains a much larger block
+  const std::size_t used = arena.bytes_used();
+  EXPECT_GT(arena.capacity(), 2 * used);
+  arena.reset();
+  EXPECT_EQ(arena.capacity(), used);
+  // The same round replays inside the one coalesced block.
+  arena.allocate(4096, 8);
+  arena.allocate(100, 8);
+  EXPECT_EQ(arena.capacity(), used);
+}
+
 TEST(Arena, LargeOneShotAllocation) {
   Arena arena;
   constexpr std::size_t kBig = 8u << 20;  // 8 MiB, far past kMinBlockBytes
@@ -122,6 +136,32 @@ TEST(ArenaVec, ArenaModeGrowsAndPreserves) {
   // Growth abandoned spans inside the arena; used bytes must cover at least
   // the live span.
   EXPECT_GE(arena.bytes_used(), 500u * sizeof(std::uint64_t));
+}
+
+TEST(Arena, ExtendGrowsOnlyTheMostRecentAllocationInPlace) {
+  Arena arena(4096);
+  void* a = arena.allocate(64, 8);
+  EXPECT_TRUE(arena.extend(a, 64, 128));  // top of the block: in place
+  EXPECT_EQ(arena.bytes_used(), 128u);
+  void* b = arena.allocate(16, 8);
+  EXPECT_EQ(static_cast<unsigned char*>(b), static_cast<unsigned char*>(a) + 128);
+  EXPECT_FALSE(arena.extend(a, 128, 256));  // no longer the top
+  EXPECT_FALSE(arena.extend(b, 16, 8192));  // past the block's capacity
+  EXPECT_EQ(arena.bytes_used(), 144u);      // failed extends change nothing
+}
+
+TEST(ArenaVec, LastGrowingVectorExtendsWithoutMoving) {
+  // The staging lane's row array is usually the arena's last allocation:
+  // it must grow in place instead of abandoning a copied span.
+  Arena arena(1 << 16);
+  ArenaVec<std::uint64_t> v;
+  v.bind(&arena);
+  v.push_back(1);
+  const std::uint64_t* first = v.data();
+  for (std::uint64_t i = 2; i <= 1000; ++i) v.push_back(i);
+  EXPECT_EQ(v.data(), first);
+  EXPECT_EQ(v[999], 1000u);
+  EXPECT_LE(arena.bytes_used(), 1024 * sizeof(std::uint64_t));
 }
 
 TEST(ArenaVec, AppendReturnsWritableSlots) {

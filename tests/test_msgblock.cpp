@@ -10,7 +10,7 @@
 #include "runtime/stream.hpp"
 #include "util/arena.hpp"
 
-// Round-trip tests of the SoA staging lanes: a message scheduled as a
+// Round-trip tests of the staging lanes: a message scheduled as a
 // zero-copy MsgView, pushed into a MsgBlock (inline or spilled encoding),
 // decoded with record() and replayed into an InStream must reproduce the
 // exact symbol sequence, EOS flag and wire accounting of the direct path.
@@ -37,8 +37,8 @@ void schedule(Scheduled& s, const StreamKey& key,
   s.ok = s.link.schedule_view(budget_bits, kHeader, s.view);
 }
 
-// Replays a decoded record into an InStream exactly as Network::deliver_record
-// does, then pops everything back.
+// Replays a decoded record into an InStream exactly as Network::deliver_row
+// does for each copy, then pops everything back.
 std::vector<std::pair<std::uint64_t, unsigned>> replay(const MsgBlock::Rec& r) {
   InStream in;
   if (r.spilled) {
@@ -79,14 +79,13 @@ TEST(MsgBlock, InlineSingleSymbolRoundTripsEveryKindAndVersion) {
     schedule(scheduled[i], keys[i], {{i * 7 + 1, 20}}, /*close=*/true,
              kHeader + 64);
     ASSERT_TRUE(scheduled[i].ok);
-    block.push(scheduled[i].view, NodeId(i), static_cast<std::uint32_t>(i),
-               0);
+    block.push(scheduled[i].view, i, 0);
   }
   ASSERT_EQ(block.size(), keys.size());
   for (std::size_t i = 0; i < keys.size(); ++i) {
     const MsgBlock::Rec r = block.record(i, kHeader);
-    EXPECT_EQ(r.to, NodeId(i));
-    EXPECT_EQ(r.back_index, i);
+    EXPECT_EQ(r.edge, i);
+    EXPECT_EQ(r.copies, 1u);
     EXPECT_EQ(r.key.kind, keys[i].kind);
     EXPECT_EQ(r.key.tag, keys[i].tag);
     EXPECT_EQ(r.key.version, keys[i].version);
@@ -108,7 +107,7 @@ TEST(MsgBlock, InlineTwoSymbolsIncludingMaxWidth) {
   schedule(s, StreamKey{3, 42, 1}, {{big, 64}, {0x1234, 16}}, /*close=*/false,
            kHeader + 64 + 16);
   ASSERT_TRUE(s.ok);
-  block.push(s.view, 9, 2, 0);
+  block.push(s.view, 9, 0);
   const MsgBlock::Rec r = block.record(0, kHeader);
   EXPECT_FALSE(r.spilled);
   EXPECT_FALSE(r.eos);  // stream not closed
@@ -133,7 +132,7 @@ TEST(MsgBlock, SpilledManySymbolsRoundTrip) {
   schedule(s, StreamKey{7, 1000, 3}, symbols, /*close=*/true,
            kHeader + payload_bits);
   ASSERT_TRUE(s.ok);
-  block.push(s.view, 5, 0, 0);
+  block.push(s.view, 5, 0);
   const MsgBlock::Rec r = block.record(0, kHeader);
   EXPECT_TRUE(r.spilled);
   EXPECT_TRUE(r.eos);
@@ -155,7 +154,7 @@ TEST(MsgBlock, SpilledMaxWidthSymbolsRoundTrip) {
   }
   schedule(s, StreamKey{1, 2, 0}, symbols, /*close=*/true, kHeader + 8 * 64);
   ASSERT_TRUE(s.ok);
-  block.push(s.view, 1, 0, 0);
+  block.push(s.view, 1, 0);
   const MsgBlock::Rec r = block.record(0, kHeader);
   EXPECT_TRUE(r.spilled);
   ASSERT_EQ(r.symbol_count, 8u);
@@ -168,7 +167,7 @@ TEST(MsgBlock, PureEosMessageCarriesNoPayload) {
   Scheduled s;
   schedule(s, StreamKey{2, 8, 0}, {}, /*close=*/true, kHeader);
   ASSERT_TRUE(s.ok);  // empty-but-closed stream schedules a pure-EOS message
-  block.push(s.view, 3, 1, 0);
+  block.push(s.view, 3, 0);
   const MsgBlock::Rec r = block.record(0, kHeader);
   EXPECT_TRUE(r.eos);
   EXPECT_FALSE(r.spilled);
@@ -194,7 +193,7 @@ TEST(MsgBlock, LocalDrainViewsStageUnbounded) {
   MsgBlock block;
   const std::size_t produced =
       link.drain_views(kHeader, [&](const MsgView& v) {
-        block.push(v, 0, 0, 0);
+        block.push(v, 0, 0);
       });
   ASSERT_EQ(produced, 1u);
   const MsgBlock::Rec r = block.record(0, kHeader);
@@ -219,7 +218,7 @@ TEST(MsgBlock, AppendFromCopiesInlineAndSpilledRows) {
   schedule(small, StreamKey{6, 11, 2}, {{0xabcd, 16}}, /*close=*/false,
            kHeader + 16);
   ASSERT_TRUE(small.ok);
-  lane.push(small.view, 10, 4, 7);
+  lane.push(small.view, 10, 7);
 
   Scheduled big;
   std::vector<std::pair<std::uint64_t, unsigned>> symbols;
@@ -227,7 +226,7 @@ TEST(MsgBlock, AppendFromCopiesInlineAndSpilledRows) {
   schedule(big, StreamKey{8, 12, 0}, symbols, /*close=*/true,
            kHeader + 20 * 17);
   ASSERT_TRUE(big.ok);
-  lane.push(big.view, 11, 5, 9);
+  lane.push(big.view, 11, 9);
 
   MsgBlock bucket;  // heap mode
   bucket.append_from(lane, 0, kHeader);
@@ -239,8 +238,8 @@ TEST(MsgBlock, AppendFromCopiesInlineAndSpilledRows) {
   lane.begin_round();
 
   const MsgBlock::Rec r0 = bucket.record(0, kHeader);
-  EXPECT_EQ(r0.to, 10u);
-  EXPECT_EQ(r0.back_index, 4u);
+  EXPECT_EQ(r0.edge, 10u);
+  EXPECT_EQ(r0.copies, 1u);
   EXPECT_EQ(r0.deliver_round, 7u);
   EXPECT_FALSE(r0.spilled);
   const auto got0 = replay(r0);
@@ -248,7 +247,7 @@ TEST(MsgBlock, AppendFromCopiesInlineAndSpilledRows) {
   EXPECT_EQ(got0[0], (std::pair<std::uint64_t, unsigned>{0xabcdu, 16u}));
 
   const MsgBlock::Rec r1 = bucket.record(1, kHeader);
-  EXPECT_EQ(r1.to, 11u);
+  EXPECT_EQ(r1.edge, 11u);
   EXPECT_EQ(r1.deliver_round, 9u);
   EXPECT_TRUE(r1.spilled);
   EXPECT_TRUE(r1.eos);
@@ -272,7 +271,7 @@ TEST(MsgBlock, ArenaLaneSteadyStateReusesMemory) {
                {{static_cast<std::uint64_t>(m * round), 24}}, true,
                kHeader + 24);
       ASSERT_TRUE(s.ok);
-      lane.push(s.view, NodeId(m), 0, 0);
+      lane.push(s.view, std::size_t(m), 0);
     }
     ASSERT_EQ(lane.size(), 32u);
   }
@@ -284,37 +283,46 @@ TEST(MsgBlock, ArenaLaneSteadyStateReusesMemory) {
   for (int m = 0; m < 32; ++m) {
     Scheduled s;
     schedule(s, StreamKey{1, NodeId(m), 0}, {{7, 24}}, true, kHeader + 24);
-    lane.push(s.view, NodeId(m), 0, 0);
+    lane.push(s.view, std::size_t(m), 0);
   }
   EXPECT_EQ(arena.high_water_bytes(), hw);
 }
 
-TEST(MsgBlock, BroadcastUpgradeKeepsFirstReceiverAndSharesPayload) {
-  // A row starts unicast; the first add_receiver upgrades it in place and
-  // the original (to, back, round) must come back as receiver 0, in order.
+// One staged copy as the deliver phase expands it: (edge, deliver round).
+using Copy = std::pair<std::size_t, std::uint64_t>;
+
+// Expands every row of `block` into its copies, in staged order.
+std::vector<Copy> expand(const MsgBlock& block) {
+  std::vector<Copy> out;
+  for (std::size_t i = 0; i < block.size(); ++i) {
+    const MsgBlock::Rec r = block.record(i, kHeader);
+    for (std::uint32_t j = 0; j < r.copies; ++j) {
+      out.emplace_back(r.edge + j, r.deliver_round);
+    }
+  }
+  return out;
+}
+
+TEST(MsgBlock, BroadcastRowExtendsOverConsecutiveEdges) {
+  // On-time copies on consecutive edges extend one row: one payload, one
+  // edge range, three physical messages.
   MsgBlock block;
   Scheduled s;
   schedule(s, StreamKey{3, 21, 1}, {{0xbeef, 16}, {0x7, 3}}, /*close=*/true,
            kHeader + 19);
   ASSERT_TRUE(s.ok);
-  block.push(s.view, 40, 4, 0);
-  block.add_receiver(41, 5, 0);
-  block.add_receiver(47, 9, 0);
+  block.push(s.view, 40, 0);
+  block.add_copy(41, 0);
+  block.add_copy(42, 0);
 
   ASSERT_EQ(block.size(), 1u);            // one row...
   EXPECT_EQ(block.message_count(), 3u);   // ...three physical messages
   const MsgBlock::Rec r = block.record(0, kHeader);
-  EXPECT_TRUE(r.bcast);
+  EXPECT_EQ(r.edge, 40u);
+  EXPECT_EQ(r.copies, 3u);
+  EXPECT_EQ(r.deliver_round, 0u);
   EXPECT_FALSE(r.spilled);
   EXPECT_TRUE(r.eos);
-  ASSERT_EQ(r.rcv_count, 3u);
-  const MsgBlock::Receiver want[] = {{40, 4, 0}, {41, 5, 0}, {47, 9, 0}};
-  for (std::uint32_t j = 0; j < r.rcv_count; ++j) {
-    const MsgBlock::Receiver rcv = block.receiver(r.rcv_begin + j);
-    EXPECT_EQ(rcv.to, want[j].to);
-    EXPECT_EQ(rcv.back_index, want[j].back_index);
-    EXPECT_EQ(rcv.deliver_round, want[j].deliver_round);
-  }
   // The shared payload decodes once and serves every copy.
   const auto symbols = replay(r);
   ASSERT_EQ(symbols.size(), 2u);
@@ -324,8 +332,8 @@ TEST(MsgBlock, BroadcastUpgradeKeepsFirstReceiverAndSharesPayload) {
 
 TEST(MsgBlock, BroadcastSpilledMaxWidthFansOutToEveryDegree) {
   // Spilled all-64-bit payload (the widest legal symbols) fanned out to
-  // 1..deg receivers: one receiver must stay a plain unicast row; larger
-  // fans share the single spilled payload and keep per-copy rounds.
+  // 1..deg consecutive edges: always one row whose range grows with the
+  // degree, so a single copy costs exactly a unicast.
   for (std::uint32_t deg = 1; deg <= 5; ++deg) {
     MsgBlock block;
     Scheduled s;
@@ -336,26 +344,14 @@ TEST(MsgBlock, BroadcastSpilledMaxWidthFansOutToEveryDegree) {
     schedule(s, StreamKey{7, 900, 2}, symbols, /*close=*/true,
              kHeader + 6 * 64);
     ASSERT_TRUE(s.ok);
-    block.push(s.view, 100, 0, 0);
-    for (std::uint32_t j = 1; j < deg; ++j) {
-      block.add_receiver(100 + j, j, /*deliver_round=*/j);  // per-copy delay
-    }
+    block.push(s.view, 100, 0);
+    for (std::uint32_t j = 1; j < deg; ++j) block.add_copy(100 + j, 0);
     ASSERT_EQ(block.size(), 1u) << "deg " << deg;
     EXPECT_EQ(block.message_count(), deg);
     const MsgBlock::Rec r = block.record(0, kHeader);
     EXPECT_TRUE(r.spilled);
-    if (deg == 1) {
-      EXPECT_FALSE(r.bcast);  // single receiver costs exactly a unicast
-      EXPECT_EQ(r.to, 100u);
-    } else {
-      EXPECT_TRUE(r.bcast);
-      ASSERT_EQ(r.rcv_count, deg);
-      for (std::uint32_t j = 0; j < deg; ++j) {
-        const MsgBlock::Receiver rcv = block.receiver(r.rcv_begin + j);
-        EXPECT_EQ(rcv.to, 100u + j);
-        EXPECT_EQ(rcv.deliver_round, j);
-      }
-    }
+    EXPECT_EQ(r.edge, 100u);
+    EXPECT_EQ(r.copies, deg);
     const auto got = replay(r);
     ASSERT_EQ(got.size(), symbols.size());
     for (std::size_t i = 0; i < symbols.size(); ++i) {
@@ -367,7 +363,8 @@ TEST(MsgBlock, BroadcastSpilledMaxWidthFansOutToEveryDegree) {
 TEST(MsgBlock, BroadcastReceiversSplitAcrossDstShardLanes) {
   // The stage phase groups per (src, dst-shard) lane: a broadcast whose
   // receivers live on two destination shards stages one row per lane, each
-  // fanning only its own shard's receivers. Two lanes, same scheduled view.
+  // covering only its own shard's block of the sender's edges. Two lanes,
+  // same scheduled view.
   Arena arena0, arena1;
   MsgBlock lane0, lane1;
   lane0.bind(&arena0);
@@ -382,19 +379,18 @@ TEST(MsgBlock, BroadcastReceiversSplitAcrossDstShardLanes) {
            kHeader + 12 * 33);
   ASSERT_TRUE(s.ok);
 
-  // Shard 0 gets receivers {2, 4, 6}; shard 1 gets only {9001}.
-  lane0.push(s.view, 2, 0, 0);
-  lane0.add_receiver(4, 1, 0);
-  lane0.add_receiver(6, 2, 0);
-  lane1.push(s.view, 9001, 3, 0);
+  // Edges 10..12 target shard 0; edge 13 targets shard 1.
+  lane0.push(s.view, 10, 0);
+  lane0.add_copy(11, 0);
+  lane0.add_copy(12, 0);
+  lane1.push(s.view, 13, 0);
 
   const MsgBlock::Rec r0 = lane0.record(0, kHeader);
   const MsgBlock::Rec r1 = lane1.record(0, kHeader);
-  EXPECT_TRUE(r0.bcast);
-  ASSERT_EQ(r0.rcv_count, 3u);
-  EXPECT_EQ(lane0.receiver(r0.rcv_begin + 2).to, 6u);
-  EXPECT_FALSE(r1.bcast);  // lone receiver on its shard: plain unicast row
-  EXPECT_EQ(r1.to, 9001u);
+  EXPECT_EQ(r0.edge, 10u);
+  EXPECT_EQ(r0.copies, 3u);
+  EXPECT_EQ(r1.edge, 13u);
+  EXPECT_EQ(r1.copies, 1u);  // lone receiver on its shard: a unicast row
   // Both lanes decode the identical payload and identical wire charge.
   EXPECT_EQ(r0.wire_bits, r1.wire_bits);
   const auto got0 = replay(r0);
@@ -405,10 +401,95 @@ TEST(MsgBlock, BroadcastReceiversSplitAcrossDstShardLanes) {
   }
 }
 
-TEST(MsgBlock, AppendReceiverFromMaterializesDelayedUnicastCopy) {
-  // A delayed broadcast copy leaves the shared row: append_receiver_from
-  // parks it in a heap bucket as an independent unicast message carrying
-  // its own deliver round, surviving the lane's arena reset.
+TEST(MsgBlock, BroadcastRowSplitsAtDroppedCopyKeepingOrder) {
+  // Edge 22's copy was dropped: the gap ends the row, and the next copy
+  // opens a new row. Expansion still yields the staged order.
+  MsgBlock block;
+  Scheduled s;
+  schedule(s, StreamKey{4, 5, 0}, {{0x31, 8}}, /*close=*/false, kHeader + 8);
+  ASSERT_TRUE(s.ok);
+  block.push(s.view, 20, 0);
+  block.add_copy(21, 0);
+  block.add_copy(23, 0);  // 22 dropped
+  block.add_copy(24, 0);
+  ASSERT_EQ(block.size(), 2u);
+  EXPECT_EQ(block.message_count(), 4u);
+  EXPECT_EQ(block.record(0, kHeader).copies, 2u);
+  EXPECT_EQ(block.record(1, kHeader).edge, 23u);
+  EXPECT_EQ(block.record(1, kHeader).copies, 2u);
+  const std::vector<Copy> want{{20, 0}, {21, 0}, {23, 0}, {24, 0}};
+  EXPECT_EQ(expand(block), want);
+  for (std::size_t i = 0; i < block.size(); ++i) {
+    const auto got = replay(block.record(i, kHeader));
+    ASSERT_EQ(got.size(), 1u);
+    EXPECT_EQ(got[0], (std::pair<std::uint64_t, unsigned>{0x31u, 8u}));
+  }
+}
+
+TEST(MsgBlock, BroadcastRowSplitsAtDelayedCopyKeepingOrder) {
+  // A delayed copy becomes its own 1-copy row carrying its deliver round;
+  // the on-time copies after it open a fresh row. A row that starts
+  // delayed is never extended, even by a copy due the same round.
+  MsgBlock block;
+  Scheduled s;
+  schedule(s, StreamKey{9, 6, 3}, {{0x2a, 7}, {0x15, 6}}, /*close=*/true,
+           kHeader + 13);
+  ASSERT_TRUE(s.ok);
+  block.push(s.view, 20, 0);
+  block.add_copy(21, 0);
+  block.add_copy(22, 9);  // delayed mid-range
+  block.add_copy(23, 0);
+  block.add_copy(24, 0);
+  block.add_copy(25, 5);
+  block.add_copy(26, 5);
+  const std::vector<Copy> want{{20, 0}, {21, 0}, {22, 9}, {23, 0},
+                               {24, 0}, {25, 5}, {26, 5}};
+  EXPECT_EQ(expand(block), want);
+  ASSERT_EQ(block.size(), 5u);
+  EXPECT_EQ(block.message_count(), 7u);
+  const std::uint32_t copies[] = {2, 1, 2, 1, 1};
+  for (std::size_t i = 0; i < block.size(); ++i) {
+    const MsgBlock::Rec r = block.record(i, kHeader);
+    EXPECT_EQ(r.copies, copies[i]) << "row " << i;
+    EXPECT_EQ(r.key.kind, 9u);
+    EXPECT_TRUE(r.eos);
+    const auto got = replay(r);
+    ASSERT_EQ(got.size(), 2u);
+    EXPECT_EQ(got[0], (std::pair<std::uint64_t, unsigned>{0x2au, 7u}));
+    EXPECT_EQ(got[1], (std::pair<std::uint64_t, unsigned>{0x15u, 6u}));
+  }
+}
+
+TEST(MsgBlock, SplitRowsShareOneSpilledPayload) {
+  // Rows split off a broadcast reference the lane's single spilled payload
+  // rather than re-copying it.
+  MsgBlock block;
+  Scheduled s;
+  std::vector<std::pair<std::uint64_t, unsigned>> symbols;
+  for (unsigned i = 0; i < 9; ++i) symbols.emplace_back(0xa0 + i, 40);
+  schedule(s, StreamKey{6, 13, 1}, symbols, /*close=*/true, kHeader + 9 * 40);
+  ASSERT_TRUE(s.ok);
+  block.push(s.view, 0, 0);
+  block.add_copy(1, 0);
+  block.add_copy(3, 0);   // gap: split
+  block.add_copy(4, 11);  // delayed: split
+  ASSERT_EQ(block.size(), 3u);
+  const MsgBlock::Rec head = block.record(0, kHeader);
+  ASSERT_TRUE(head.spilled);
+  for (std::size_t i = 1; i < block.size(); ++i) {
+    const MsgBlock::Rec r = block.record(i, kHeader);
+    EXPECT_TRUE(r.spilled);
+    EXPECT_EQ(r.pay_words, head.pay_words) << "row " << i;
+    EXPECT_EQ(r.pay_widths, head.pay_widths) << "row " << i;
+    EXPECT_EQ(replay(r), symbols) << "row " << i;
+  }
+  EXPECT_EQ(replay(head), symbols);
+}
+
+TEST(MsgBlock, AppendFromParksDelayedBroadcastCopy) {
+  // A delayed broadcast copy is its own row, so the delayed-bucket hand-off
+  // is a plain append_from: the copy keeps its edge and deliver round and
+  // gets its own heap payload, surviving the lane's arena reset.
   Arena arena;
   MsgBlock lane;
   lane.bind(&arena);
@@ -419,29 +500,45 @@ TEST(MsgBlock, AppendReceiverFromMaterializesDelayedUnicastCopy) {
   for (unsigned i = 0; i < 9; ++i) symbols.emplace_back(0xa0 + i, 12);
   schedule(s, StreamKey{6, 13, 1}, symbols, /*close=*/true, kHeader + 9 * 12);
   ASSERT_TRUE(s.ok);
-  lane.push(s.view, 50, 0, 0);
-  lane.add_receiver(51, 1, /*deliver_round=*/17);  // this copy is delayed
+  lane.push(s.view, 50, 0);
+  lane.add_copy(51, /*deliver_round=*/17);  // this copy is delayed
+  ASSERT_EQ(lane.size(), 2u);
 
-  const MsgBlock::Rec staged = lane.record(0, kHeader);
-  ASSERT_TRUE(staged.bcast);
-  const MsgBlock::Receiver delayed = lane.receiver(staged.rcv_begin + 1);
   MsgBlock bucket;  // heap mode, outlives the round
-  bucket.append_receiver_from(lane, 0, delayed, kHeader);
+  bucket.append_from(lane, 1, kHeader);
 
   arena.reset();
   lane.begin_round();
 
+  ASSERT_EQ(bucket.message_count(), 1u);
   const MsgBlock::Rec r = bucket.record(0, kHeader);
-  EXPECT_FALSE(r.bcast);  // materialized as a plain unicast row
-  EXPECT_EQ(r.to, 51u);
-  EXPECT_EQ(r.back_index, 1u);
+  EXPECT_EQ(r.edge, 51u);
+  EXPECT_EQ(r.copies, 1u);
   EXPECT_EQ(r.deliver_round, 17u);
   EXPECT_TRUE(r.eos);
-  const auto got = replay(r);
-  ASSERT_EQ(got.size(), symbols.size());
-  for (std::size_t i = 0; i < symbols.size(); ++i) {
-    EXPECT_EQ(got[i], symbols[i]) << "symbol " << i;
-  }
+  EXPECT_EQ(replay(r), symbols);
+}
+
+TEST(MsgBlock, MessageCountCountsPhysicalCopies) {
+  // message_count() is what lane_msgs_peak and the telemetry staged column
+  // report: physical copies, not rows — also across a bucket hand-off of a
+  // multi-copy row.
+  MsgBlock block;
+  Scheduled a, b;
+  schedule(a, StreamKey{1, 1, 0}, {{1, 4}}, /*close=*/false, kHeader + 4);
+  schedule(b, StreamKey{2, 2, 0}, {{2, 4}}, /*close=*/false, kHeader + 4);
+  ASSERT_TRUE(a.ok && b.ok);
+  block.push(a.view, 3, 0);  // unicast
+  block.push(b.view, 7, 0);  // broadcast over 7..10, split at 9
+  block.add_copy(8, 0);
+  block.add_copy(9, 4);
+  block.add_copy(10, 0);
+  EXPECT_EQ(block.size(), 4u);
+  EXPECT_EQ(block.message_count(), 5u);
+  MsgBlock bucket;
+  bucket.append_from(block, 1, kHeader);
+  EXPECT_EQ(bucket.size(), 1u);
+  EXPECT_EQ(bucket.message_count(), 2u);
 }
 
 /// The top of the 5-bit kind field (unassigned; kRelAck sits just below).
@@ -461,8 +558,7 @@ TEST(MsgBlock, ReliabilityKindsRoundTripInlineIncludingMaxWidth) {
     schedule(scheduled[i], StreamKey{kinds[i], NodeId(40 + i), 2},
              {{big, 64}, {0x5a5au, 16}}, /*close=*/true, kHeader + 64 + 16);
     ASSERT_TRUE(scheduled[i].ok);
-    block.push(scheduled[i].view, NodeId(i), static_cast<std::uint32_t>(i),
-               0);
+    block.push(scheduled[i].view, i, 0);
   }
   for (std::size_t i = 0; i < 2; ++i) {
     const MsgBlock::Rec r = block.record(i, kHeader);
@@ -482,7 +578,7 @@ TEST(MsgBlock, ReliabilityKindsRoundTripInlineIncludingMaxWidth) {
 TEST(MsgBlock, ReliabilityKindsRoundTripSpilled) {
   // Same kinds through the spilled encoding (meta's kSpillBit set alongside
   // the top kind bits), plus the delayed-bucket hand-off: append_from must
-  // carry every column, the deliver round included.
+  // carry every field, the deliver round included.
   MsgBlock block;
   std::vector<std::pair<std::uint64_t, unsigned>> symbols;
   std::size_t payload_bits = 0;
@@ -499,7 +595,7 @@ TEST(MsgBlock, ReliabilityKindsRoundTripSpilled) {
     schedule(s, StreamKey{kinds[i], 9000, 0}, symbols, /*close=*/true,
              kHeader + payload_bits);
     ASSERT_TRUE(s.ok);
-    block.push(s.view, 7, 3, rounds[i]);
+    block.push(s.view, 7, rounds[i]);
   }
   MsgBlock released;  // heap mode, the lane -> delayed-bucket path
   released.append_from(block, 0, kHeader);
@@ -508,8 +604,8 @@ TEST(MsgBlock, ReliabilityKindsRoundTripSpilled) {
     const MsgBlock::Rec r = released.record(i, kHeader);
     EXPECT_EQ(r.key.kind, kinds[i]);
     EXPECT_EQ(r.deliver_round, rounds[i]);
-    EXPECT_EQ(r.to, 7u);
-    EXPECT_EQ(r.back_index, 3u);
+    EXPECT_EQ(r.edge, 7u);
+    EXPECT_EQ(r.copies, 1u);
     EXPECT_TRUE(r.spilled);
     EXPECT_TRUE(r.eos);
     ASSERT_EQ(r.symbol_count, symbols.size());

@@ -253,27 +253,37 @@ TEST(Sweep, FaultKeysWorkAsGridAxes) {
 }
 
 TEST(Sweep, RetiredReliabilityModeFailsAsGridAxis) {
-  // A rel_mode=2 axis reaches the dist_near_clique adapter, whose plan
-  // validator rejects it; an axis on a retired key fails in the parameter
-  // catalogue before any trial runs.
+  // A rel_mode=2 axis fails the row's plan validation, and an axis on a
+  // retired key fails in the parameter catalogue — both before any trial
+  // runs, even though the axis's first value (0) is a valid grid point.
+  // Telemetry capture records every trial that runs, so an empty capture
+  // proves none did.
   SweepSpec spec;
   spec.scenario_family = "theorem";
   spec.scenario_params = ScenarioParams().with("n", 40);
   spec.algorithms = {{"dist_near_clique", {}}};
   spec.trials = 1;
+  spec.telemetry = ParamSet().with("tel_metrics", 1);
   const std::pair<const char*, const char*> cases[] = {
       {"rel_mode", "rel_mode must be 0 (off) or 1 (ack)"},
       {"rel_fec_window", "has no parameter 'rel_fec_window'"}};
   for (const auto& [key, message] : cases) {
-    spec.axes = {{SweepAxis::Target::kAlgorithm, key, {2}}};
+    spec.axes = {{SweepAxis::Target::kAlgorithm, key, {0, 2}}};
+    TelemetryCapture capture;
     try {
-      (void)run_sweep(spec);
+      (void)run_sweep(spec, &capture);
       ADD_FAILURE() << "expected std::invalid_argument for " << key;
     } catch (const std::invalid_argument& e) {
       EXPECT_NE(std::string(e.what()).find(message), std::string::npos)
           << e.what();
     }
+    EXPECT_TRUE(capture.entries.empty()) << key << ": a trial ran";
   }
+  // Control: the valid grid point alone runs and is captured.
+  spec.axes = {{SweepAxis::Target::kAlgorithm, "rel_mode", {0}}};
+  TelemetryCapture capture;
+  (void)run_sweep(spec, &capture);
+  EXPECT_EQ(capture.entries.size(), 1u);
 }
 
 SweepSpec full_spec() {

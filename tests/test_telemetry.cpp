@@ -284,8 +284,7 @@ TEST(TelemetryTrace, SpansUseTheEngineVocabularyAndSerialize) {
   (void)run_dist_near_clique(inst.graph, cfg);
 
   ASSERT_FALSE(sink.spans.empty());
-  const std::set<std::string> vocab{"fused", "stage", "deliver", "wake",  // nclint:allow(ordered-map) test-only vocabulary set
-                                    "alarm"};
+  const std::set<std::string> vocab{"stage", "deliver", "wake", "alarm"};  // nclint:allow(ordered-map) test-only vocabulary set
   bool saw_parallel_phase = false;
   for (const auto& s : sink.spans) {
     EXPECT_TRUE(vocab.count(s.name)) << s.name;
