@@ -8,25 +8,6 @@
 
 namespace nc {
 
-void RunStats::absorb(const RunStats& other) {
-  rounds += other.rounds;
-  messages += other.messages;
-  bits += other.bits;
-  max_message_bits = std::max(max_message_bits, other.max_message_bits);
-  hit_round_limit = hit_round_limit || other.hit_round_limit;
-  stalled = stalled || other.stalled;
-  messages_lost += other.messages_lost;
-  messages_delayed += other.messages_delayed;
-  messages_dropped_crash += other.messages_dropped_crash;
-  crash_events += other.crash_events;
-  recover_events += other.recover_events;
-  messages_retransmitted += other.messages_retransmitted;
-  acks_sent += other.acks_sent;
-  for (std::size_t k = 0; k < bits_by_kind.size(); ++k) {
-    bits_by_kind[k] += other.bits_by_kind[k];
-  }
-}
-
 void RunStats::merge_traffic(const RunStats& other) {
   messages += other.messages;
   bits += other.bits;
@@ -42,18 +23,6 @@ void RunStats::merge_traffic(const RunStats& other) {
   for (std::size_t k = 0; k < bits_by_kind.size(); ++k) {
     bits_by_kind[k] += other.bits_by_kind[k];
   }
-}
-
-void NetProfile::absorb(const NetProfile& other) {
-  stage_seconds += other.stage_seconds;
-  deliver_seconds += other.deliver_seconds;
-  wake_seconds += other.wake_seconds;
-  arena_bytes_total = std::max(arena_bytes_total, other.arena_bytes_total);
-  arena_bytes_peak_shard =
-      std::max(arena_bytes_peak_shard, other.arena_bytes_peak_shard);
-  lane_msgs_peak = std::max(lane_msgs_peak, other.lane_msgs_peak);
-  delayed_msgs_peak = std::max(delayed_msgs_peak, other.delayed_msgs_peak);
-  broadcast_payload_bytes_saved += other.broadcast_payload_bytes_saved;
 }
 
 std::string RunStats::summary() const {

@@ -53,10 +53,6 @@ struct RunStats {
   /// slot per delivery, and the layout matches the runtime's rx counters.
   std::array<std::uint64_t, kMaxMsgKinds> bits_by_kind{};
 
-  /// Merges another run's counters into this one (used by multi-phase
-  /// drivers that restart the network, e.g. the boosting wrapper).
-  void absorb(const RunStats& other);
-
   /// Merges only the traffic counters (messages, bits, max message size,
   /// per-kind bits) — the sharded delivery engine's end-of-round reduction
   /// of per-shard partials. Rounds and the termination flags are global
@@ -136,9 +132,6 @@ struct NetProfile {
   /// broadcast copy shared an already-staged payload of its lane
   /// (MsgBlock::add_copy) instead of staging its own.
   std::uint64_t broadcast_payload_bytes_saved = 0;
-
-  /// Accumulates another profile (multi-trial benches).
-  void absorb(const NetProfile& other);
 };
 
 }  // namespace nc

@@ -2,22 +2,12 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
-#include <utility>
 #include <vector>
 
 #include "runtime/message.hpp"
 #include "runtime/stream.hpp"
 
 namespace nc {
-
-/// One physical message scheduled on a directed edge in one round.
-struct Delivery {
-  StreamKey key;
-  std::vector<std::pair<std::uint64_t, std::uint8_t>> symbols;  // value,width
-  bool eos = false;
-  std::size_t wire_bits = 0;  // header + payload, what the accountant charges
-};
 
 /// Zero-copy description of one scheduled message: a symbol run inside the
 /// producer's shared payload buffer. This is what the hot path hands to the
@@ -91,16 +81,6 @@ class Link {
   bool schedule_matches(std::size_t budget_bits, unsigned header_bits,
                         const MsgView& prev);
 
-  /// Copying wrapper around schedule_view (tests and compatibility callers):
-  /// materializes the view into `out`'s symbol vector and end-prunes.
-  bool schedule_into(std::size_t budget_bits, unsigned header_bits,
-                     Delivery& out);
-
-  /// Convenience wrapper returning a fresh Delivery (tests, LOCAL-mode-free
-  /// callers).
-  std::optional<Delivery> schedule(std::size_t budget_bits,
-                                   unsigned header_bits);
-
   /// Removes streams whose EOS has been delivered (internal housekeeping;
   /// called by the schedulers).
   void prune_done();
@@ -149,12 +129,6 @@ class Link {
     }
     return produced;
   }
-
-  /// Copying wrapper around drain_views (tests and compatibility callers).
-  std::size_t drain_all_into(unsigned header_bits, std::vector<Delivery>& out);
-
-  /// Convenience wrapper for drain_all_into.
-  std::optional<std::vector<Delivery>> drain_all(unsigned header_bits);
 
   /// Number of attached (not yet pruned) streams.
   [[nodiscard]] std::size_t stream_count() const noexcept {

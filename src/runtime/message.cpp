@@ -142,12 +142,4 @@ void SymbolBuffer::append_packed(const std::uint64_t* src_words,
   }
 }
 
-std::uint64_t SymbolCursor::pop() noexcept {
-  const unsigned width = buf_->width_at(index_);
-  const std::uint64_t v = buf_->value_at(bit_off_, width);
-  bit_off_ += width;
-  ++index_;
-  return v;
-}
-
 }  // namespace nc

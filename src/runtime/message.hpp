@@ -3,7 +3,6 @@
 #include <array>
 #include <compare>
 #include <cstdint>
-#include <memory>
 
 #include "util/ids.hpp"
 
@@ -49,8 +48,8 @@ unsigned stream_header_bits(unsigned id_bits) noexcept;
 /// A symbol is an unsigned value together with its width in bits; the width
 /// is what the CONGEST accountant charges for it. Buffers are immutable once
 /// handed to the runtime and may be shared among many outgoing links (a
-/// broadcast writes its payload once). Reading is strictly sequential via
-/// SymbolCursor.
+/// broadcast writes its payload once). Readers walk it with
+/// width_at / value_at, tracking the bit offset themselves (InStream::pop).
 ///
 /// Small-buffer storage: almost every stream the protocols open carries a
 /// handful of O(log n)-bit symbols (1-bit flags, acks, votes, short lists),
@@ -91,7 +90,6 @@ class SymbolBuffer {
   }
 
   /// Value of the symbol starting at bit offset `bit_off` with given width.
-  /// (Sequential readers track offsets themselves; see SymbolCursor.)
   [[nodiscard]] std::uint64_t value_at(std::size_t bit_off,
                                        unsigned width) const noexcept {
     const std::size_t word = bit_off >> 6;
@@ -192,31 +190,5 @@ class SymbolBuffer {
   if (take < 64) v &= (1ULL << take) - 1;
   return v;
 }
-
-/// Sequential reader over a (possibly still growing) SymbolBuffer.
-class SymbolCursor {
- public:
-  SymbolCursor() = default;
-  explicit SymbolCursor(std::shared_ptr<const SymbolBuffer> buf)
-      : buf_(std::move(buf)) {}
-
-  /// Symbols left to read.
-  [[nodiscard]] std::size_t available() const noexcept {
-    return buf_ ? buf_->size() - index_ : 0;
-  }
-
-  /// Reads the next symbol value (advances). Precondition: available() > 0.
-  std::uint64_t pop() noexcept;
-
-  /// Width of the next symbol. Precondition: available() > 0.
-  [[nodiscard]] unsigned peek_width() const noexcept {
-    return buf_->width_at(index_);
-  }
-
- private:
-  std::shared_ptr<const SymbolBuffer> buf_;
-  std::size_t index_ = 0;
-  std::size_t bit_off_ = 0;
-};
 
 }  // namespace nc

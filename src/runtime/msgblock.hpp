@@ -50,8 +50,8 @@ namespace nc {
 /// Arena (begin_round() re-carves them after the arena's O(1) reset);
 /// delayed buckets stay heap-backed, because they outlive rounds and a bump
 /// arena can never rewind one bucket out of the middle of a round's
-/// allocations. RunStats bit accounting is untouched: wire_bits carries
-/// header + payload exactly as the Delivery path charged it.
+/// allocations. RunStats bit accounting: wire_bits carries header +
+/// payload, exactly as Link::schedule_view computed it.
 class MsgBlock {
  public:
   /// Decoded row handed to the deliver phase.

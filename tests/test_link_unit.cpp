@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
-#include <memory>
+#include <cstdint>
+#include <optional>
+#include <utility>
+#include <vector>
 
 #include "runtime/link.hpp"
 #include "runtime/message.hpp"
@@ -20,6 +23,44 @@ OutChannel attach(Link& link, const StreamKey& key) {
   return ch;
 }
 
+/// One scheduled message, read out of its view with width_at / value_at.
+struct Sent {
+  StreamKey key;
+  std::vector<std::pair<std::uint64_t, unsigned>> symbols;  // value, width
+  bool eos = false;
+  std::size_t wire_bits = 0;
+};
+
+Sent read_view(const MsgView& v) {
+  Sent out{v.key, {}, v.eos, v.wire_bits};
+  std::size_t bit = v.bit_off;
+  for (std::size_t i = 0; i < v.symbol_count; ++i) {
+    const unsigned w = v.buf->width_at(v.first_symbol + i);
+    out.symbols.emplace_back(v.buf->value_at(bit, w), w);
+    bit += w;
+  }
+  return out;
+}
+
+/// schedule_view within `budget` bits, read back before release_idle (the
+/// view borrows the stream's buffer, which a prune may free).
+std::optional<Sent> schedule(Link& link, std::size_t budget) {
+  MsgView v;
+  if (!link.schedule_view(budget, kHeader, v)) return std::nullopt;
+  Sent out = read_view(v);
+  link.release_idle();
+  return out;
+}
+
+/// drain_views: one unbounded message per pending stream.
+std::vector<Sent> drain(Link& link) {
+  std::vector<Sent> out;
+  link.drain_views(kHeader,
+                   [&](const MsgView& v) { out.push_back(read_view(v)); });
+  link.release_idle();
+  return out;
+}
+
 TEST(SymbolBuffer, PacksMixedWidths) {
   SymbolBuffer buf;
   buf.put(0b101, 3);
@@ -27,28 +68,30 @@ TEST(SymbolBuffer, PacksMixedWidths) {
   buf.put(0xffff, 16);
   EXPECT_EQ(buf.size(), 3u);
   EXPECT_EQ(buf.bit_size(), 20u);
-  SymbolCursor cur(std::make_shared<SymbolBuffer>(buf));
-  EXPECT_EQ(cur.available(), 3u);
-  EXPECT_EQ(cur.peek_width(), 3u);
-  EXPECT_EQ(cur.pop(), 0b101u);
-  EXPECT_EQ(cur.pop(), 1u);
-  EXPECT_EQ(cur.pop(), 0xffffu);
-  EXPECT_EQ(cur.available(), 0u);
+  EXPECT_EQ(buf.width_at(0), 3u);
+  EXPECT_EQ(buf.value_at(0, 3), 0b101u);
+  EXPECT_EQ(buf.width_at(1), 1u);
+  EXPECT_EQ(buf.value_at(3, 1), 1u);
+  EXPECT_EQ(buf.width_at(2), 16u);
+  EXPECT_EQ(buf.value_at(4, 16), 0xffffu);
 }
 
 TEST(SymbolBuffer, CursorSeesAppendsAfterConstruction) {
-  auto buf = std::make_shared<SymbolBuffer>();
-  SymbolCursor cur(buf);
-  EXPECT_EQ(cur.available(), 0u);
-  buf->put(7, 8);
-  EXPECT_EQ(cur.available(), 1u);  // growth visible: pipelining depends on it
-  EXPECT_EQ(cur.pop(), 7u);
+  InStream in;
+  EXPECT_EQ(in.available(), 0u);
+  in.deliver(7, 8);
+  EXPECT_EQ(in.available(), 1u);  // growth visible: pipelining depends on it
+  EXPECT_EQ(in.pop(), 7u);
+  in.deliver(5, 3);
+  EXPECT_EQ(in.available(), 1u);
+  EXPECT_EQ(in.pop(), 5u);
+  EXPECT_EQ(in.available(), 0u);
 }
 
 TEST(Link, NothingPendingWhenEmpty) {
   Link link;
   EXPECT_FALSE(link.has_pending());
-  EXPECT_FALSE(link.schedule(100, kHeader).has_value());
+  EXPECT_FALSE(schedule(link, 100).has_value());
 }
 
 TEST(Link, SchedulesWithinBudgetAndChunks) {
@@ -59,7 +102,7 @@ TEST(Link, SchedulesWithinBudgetAndChunks) {
   // Budget: header + 2 symbols and a bit of slack.
   std::vector<std::uint64_t> got;
   bool eos = false;
-  while (auto d = link.schedule(kHeader + 20, kHeader)) {
+  while (auto d = schedule(link, kHeader + 20)) {
     EXPECT_LE(d->wire_bits, kHeader + 20u);
     for (const auto& [v, w] : d->symbols) {
       EXPECT_EQ(w, 8u);
@@ -78,18 +121,18 @@ TEST(Link, EosPiggybacksOnLastChunk) {
   auto ch = attach(link, StreamKey{1, 0, 0});
   ch.put(1, 4);
   ch.close();
-  const auto d = link.schedule(kHeader + 64, kHeader);
+  const auto d = schedule(link, kHeader + 64);
   ASSERT_TRUE(d.has_value());
   EXPECT_TRUE(d->eos);
   EXPECT_EQ(d->symbols.size(), 1u);
-  EXPECT_FALSE(link.schedule(kHeader + 64, kHeader).has_value());
+  EXPECT_FALSE(schedule(link, kHeader + 64).has_value());
 }
 
 TEST(Link, EosOnlyMessageForEmptyClosedStream) {
   Link link;
   auto ch = attach(link, StreamKey{2, 7, 0});
   ch.close();  // header-only stream (e.g. kTreeFinal)
-  const auto d = link.schedule(kHeader + 8, kHeader);
+  const auto d = schedule(link, kHeader + 8);
   ASSERT_TRUE(d.has_value());
   EXPECT_TRUE(d->eos);
   EXPECT_TRUE(d->symbols.empty());
@@ -108,7 +151,7 @@ TEST(Link, RoundRobinAlternatesStreams) {
   b.close();
   // One symbol fits per message: kinds must alternate.
   std::vector<std::uint16_t> kinds;
-  while (auto d = link.schedule(kHeader + 8, kHeader)) {
+  while (auto d = schedule(link, kHeader + 8)) {
     kinds.push_back(d->key.kind);
   }
   ASSERT_GE(kinds.size(), 8u);
@@ -120,7 +163,7 @@ TEST(Link, ThrowsWhenSymbolCannotFit) {
   auto ch = attach(link, StreamKey{1, 0, 0});
   ch.put(0xffffffff, 32);
   ch.close();
-  EXPECT_THROW((void)link.schedule(kHeader + 8, kHeader), std::runtime_error);
+  EXPECT_THROW((void)schedule(link, kHeader + 8), std::runtime_error);
 }
 
 TEST(Link, ThrowsWhenBudgetBelowHeader) {
@@ -128,7 +171,7 @@ TEST(Link, ThrowsWhenBudgetBelowHeader) {
   auto ch = attach(link, StreamKey{1, 0, 0});
   ch.put_bit(true);
   ch.close();
-  EXPECT_THROW((void)link.schedule(kHeader - 1, kHeader), std::runtime_error);
+  EXPECT_THROW((void)schedule(link, kHeader - 1), std::runtime_error);
 }
 
 TEST(Link, DrainAllDeliversEverythingAtOnce) {
@@ -139,25 +182,24 @@ TEST(Link, DrainAllDeliversEverythingAtOnce) {
   a.close();
   b.put(5, 3);
   b.close();
-  const auto ds = link.drain_all(kHeader);
-  ASSERT_TRUE(ds.has_value());
-  ASSERT_EQ(ds->size(), 2u);
-  EXPECT_EQ((*ds)[0].symbols.size(), 100u);
-  EXPECT_TRUE((*ds)[0].eos);
-  EXPECT_EQ((*ds)[1].symbols.size(), 1u);
-  EXPECT_FALSE(link.drain_all(kHeader).has_value());
+  const auto ds = drain(link);
+  ASSERT_EQ(ds.size(), 2u);
+  EXPECT_EQ(ds[0].symbols.size(), 100u);
+  EXPECT_TRUE(ds[0].eos);
+  EXPECT_EQ(ds[1].symbols.size(), 1u);
+  EXPECT_TRUE(drain(link).empty());
 }
 
 TEST(Link, AppendAfterPartialDrainContinues) {
   Link link;
   auto ch = attach(link, StreamKey{1, 0, 0});
   ch.put(1, 8);
-  auto d1 = link.schedule(kHeader + 8, kHeader);
+  auto d1 = schedule(link, kHeader + 8);
   ASSERT_TRUE(d1.has_value());
   EXPECT_FALSE(d1->eos);  // stream not closed yet
   ch.put(2, 8);
   ch.close();
-  auto d2 = link.schedule(kHeader + 8, kHeader);
+  auto d2 = schedule(link, kHeader + 8);
   ASSERT_TRUE(d2.has_value());
   EXPECT_EQ(d2->symbols[0].first, 2u);
   EXPECT_TRUE(d2->eos);
@@ -171,14 +213,14 @@ TEST(Link, PruneKeepsActiveStreams) {
   auto live = attach(link, StreamKey{2, 0, 0});
   live.put(2, 4);
   EXPECT_EQ(link.stream_count(), 2u);
-  (void)link.schedule(kHeader + 64, kHeader);  // drains `done` + its EOS
-  (void)link.schedule(kHeader + 64, kHeader);  // drains `live`'s symbol
+  (void)schedule(link, kHeader + 64);  // drains `done` + its EOS
+  (void)schedule(link, kHeader + 64);  // drains `live`'s symbol
   link.prune_done();
   EXPECT_EQ(link.stream_count(), 1u);  // `done` pruned, `live` kept
   EXPECT_FALSE(link.has_pending());  // live has no pending symbols...
   live.put(3, 4);
   EXPECT_TRUE(link.has_pending());  // ...but is still attached after prune
-  const auto d = link.schedule(kHeader + 64, kHeader);
+  const auto d = schedule(link, kHeader + 64);
   ASSERT_TRUE(d.has_value());
   EXPECT_EQ(d->key.kind, 2u);
 }

@@ -496,27 +496,5 @@ TEST(Runtime, OnStartRunsOnceForEveryNodeUnderSharding) {
   }
 }
 
-TEST(Runtime, RunStatsAbsorbMerges) {
-  RunStats a, b;
-  a.rounds = 10;
-  a.bits = 100;
-  a.max_message_bits = 40;
-  a.bits_by_kind[1] = 100;
-  b.rounds = 5;
-  b.bits = 50;
-  b.max_message_bits = 60;
-  b.hit_round_limit = true;
-  b.bits_by_kind[1] = 30;
-  b.bits_by_kind[2] = 20;
-  a.absorb(b);
-  EXPECT_EQ(a.rounds, 15u);
-  EXPECT_EQ(a.bits, 150u);
-  EXPECT_EQ(a.max_message_bits, 60u);
-  EXPECT_TRUE(a.hit_round_limit);
-  EXPECT_EQ(a.bits_by_kind[1], 130u);
-  EXPECT_EQ(a.bits_by_kind[2], 20u);
-  EXPECT_NE(a.summary().find("rounds=15"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace nc

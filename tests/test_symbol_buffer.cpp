@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <memory>
 #include <random>
 #include <type_traits>
 #include <utility>
@@ -35,8 +34,9 @@ void put_all(SymbolBuffer& b, const std::vector<Sym>& syms) {
   for (const Sym& s : syms) b.put(s.value, s.width);
 }
 
-/// Checks sizes, every symbol through value_at/width_at and through a
-/// cursor, and that the packed words agree with the symbols.
+/// Checks sizes, every symbol through value_at/width_at and through an
+/// InStream's sequential pop, and that the packed words agree with the
+/// symbols.
 void expect_holds(const SymbolBuffer& b, const std::vector<Sym>& want) {
   ASSERT_EQ(b.size(), want.size());
   std::size_t bits = 0;
@@ -56,13 +56,14 @@ void expect_holds(const SymbolBuffer& b, const std::vector<Sym>& want) {
   if (bits % 64 != 0) {
     EXPECT_EQ(b.words()[bits / 64] >> (bits % 64), 0u);
   }
-  SymbolCursor cur(std::make_shared<SymbolBuffer>(b));
+  InStream in;
+  in.deliver_packed(b.words(), b.word_count(), 0, b.bit_size(), b.widths(),
+                    b.size());
   for (const Sym& s : want) {
-    ASSERT_GT(cur.available(), 0u);
-    ASSERT_EQ(cur.peek_width(), s.width);
-    ASSERT_EQ(cur.pop(), s.value);
+    ASSERT_GT(in.available(), 0u);
+    ASSERT_EQ(in.pop(), s.value);
   }
-  EXPECT_EQ(cur.available(), 0u);
+  EXPECT_EQ(in.available(), 0u);
 }
 
 std::uint64_t mask(unsigned width) {
