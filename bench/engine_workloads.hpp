@@ -104,7 +104,7 @@ class ChatterNode : public INode {
   void on_round(NodeApi& api) override {
     InStream* in = api.find_in(from_ni_, StreamKey{kChatKind, from_, 0});
     if (in == nullptr) return;
-    while (in->available() > 0) checksum_ += in->pop();
+    while (in->available() > 0) checksum_ += in->pop(8);
     if (in->finished()) api.set_done();
   }
 

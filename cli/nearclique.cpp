@@ -631,11 +631,13 @@ int cmd_sweep(const Args& args) {
     // Spec-file mode: the JSON document is the whole configuration;
     // --title and the --json output target still apply on top. Any other
     // experiment-defining flag would be silently dead, so reject it.
-    for (const char* flag :
-         {"scenario", "params", "algos", "algo", "algo-params", "grid",
-          "trials", "seed", "seq-seeds", "threads", "faults", "reliability",
-          "telemetry", "success", "success2", "success-eps",
-          "success-delta", "success-min-size", "success-max-eps"}) {
+    std::vector<std::string> flags = {
+        "scenario", "params", "algos", "algo", "algo-params", "grid",
+        "trials", "seed", "seq-seeds", "threads", "success", "success2",
+        "success-eps", "success-delta", "success-min-size",
+        "success-max-eps"};
+    for (const PlanRow& plan : plan_table()) flags.emplace_back(plan.name);
+    for (const std::string& flag : flags) {
       if (args.has(flag)) {
         throw std::invalid_argument(
             std::string("--") + flag +

@@ -52,7 +52,7 @@ class Neighbors2Node : public INode {
           builder.add_edge(self_local, u_local);
           InStream* in = api.find_in(ni, StreamKey{kNnAdjacency, 0, 0});
           while (in->available() > 0) {
-            const auto x = static_cast<NodeId>(in->pop());
+            const auto x = static_cast<NodeId>(in->pop(idw_));
             const NodeId x_local = local_of(x);
             if (x_local != kNoNode && x_local != u_local) {
               builder.add_edge(u_local, x_local);
@@ -85,7 +85,7 @@ class Neighbors2Node : public INode {
           InStream* in = api.find_in(ni, StreamKey{kNnClique, 0, 0});
           std::vector<NodeId> theirs;
           while (in->available() > 0) {
-            theirs.push_back(static_cast<NodeId>(in->pop()));
+            theirs.push_back(static_cast<NodeId>(in->pop(idw_)));
           }
           if (theirs != clique_) consistent = false;
         }

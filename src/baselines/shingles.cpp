@@ -46,8 +46,8 @@ class ShinglesNode : public INode {
         leader_ni_ = SIZE_MAX;  // self
         for (std::size_t ni = 0; ni < api.degree(); ++ni) {
           InStream* in = api.find_in(ni, StreamKey{kShRandomId, 0, 0});
-          const std::uint64_t rho = in->pop();
-          const auto node = static_cast<NodeId>(in->pop());
+          const std::uint64_t rho = in->pop(rho_width_);
+          const auto node = static_cast<NodeId>(in->pop(idw_));
           nbr_ids_.push_back(ShingleId{rho, node});
           if (nbr_ids_.back() < label_) {
             label_ = nbr_ids_.back();
@@ -69,8 +69,8 @@ class ShinglesNode : public INode {
         // this works in one hop.
         for (std::size_t ni = 0; ni < api.degree(); ++ni) {
           InStream* in = api.find_in(ni, StreamKey{kShLabel, 0, 0});
-          const std::uint64_t rho = in->pop();
-          const auto node = static_cast<NodeId>(in->pop());
+          const std::uint64_t rho = in->pop(rho_width_);
+          const auto node = static_cast<NodeId>(in->pop(idw_));
           const ShingleId lab{rho, node};
           if (lab == label_) {
             ++in_set_degree_;
@@ -93,7 +93,7 @@ class ShinglesNode : public INode {
           std::uint64_t pairs = self_member ? in_set_degree_ : 0;
           for (const std::size_t ni : member_nbrs_) {
             InStream* in = api.find_in(ni, StreamKey{kShDegree, 0, 0});
-            pairs += in->pop();
+            pairs += in->pop(idw_);
           }
           const std::uint64_t k = member_nbrs_.size() + (self_member ? 1 : 0);
           const auto full = k >= 2 ? static_cast<long double>(k) *
@@ -124,7 +124,7 @@ class ShinglesNode : public INode {
         if (leader_ni_ != SIZE_MAX) {
           InStream* in = api.find_in(leader_ni_, StreamKey{kShVerdict, 0, 0});
           if (in != nullptr && in->available() > 0) {
-            out_ = in->pop() != 0 ? static_cast<Label>(label_.node) : kBottom;
+            out_ = in->pop(1) != 0 ? static_cast<Label>(label_.node) : kBottom;
             api.set_done();
             return;
           }

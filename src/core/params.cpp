@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 namespace nc {
 
@@ -24,12 +26,20 @@ Schedule make_schedule(const ProtocolParams& proto, NodeId n,
     s.version_budget = proto.version_budget;
   } else {
     // Auto: split whatever the round limit allows evenly across versions,
-    // keeping the decision budget and a small safety margin.
+    // keeping the decision budget and a small safety margin. A limit that
+    // leaves no round for the versions could only abort with every label
+    // bottom, so it is rejected up front.
     const std::uint64_t margin = 16;
-    const std::uint64_t usable =
-        max_rounds > s.decision_budget + margin
-            ? max_rounds - s.decision_budget - margin
-            : 1;
+    if (max_rounds <= s.decision_budget + margin) {
+      throw std::invalid_argument(
+          "max_rounds " + std::to_string(max_rounds) +
+          " leaves no round for the protocol: the auto version budget "
+          "needs max_rounds >= " +
+          std::to_string(s.decision_budget + margin + 1) +
+          " (decision budget " + std::to_string(s.decision_budget) +
+          " + a 16-round margin + 1)");
+    }
+    const std::uint64_t usable = max_rounds - s.decision_budget - margin;
     s.version_budget = std::max<std::uint64_t>(1, usable / s.versions);
   }
   return s;

@@ -85,7 +85,9 @@ struct Schedule {
   }
 };
 
-/// Resolves auto budgets against the network size and round limit.
+/// Resolves auto budgets against the network size and round limit. Throws
+/// std::invalid_argument, naming the minimum, when the version budget is
+/// auto and `max_rounds` does not exceed the decision budget + 16.
 Schedule make_schedule(const ProtocolParams& proto, NodeId n,
                        std::uint64_t max_rounds);
 

@@ -124,7 +124,7 @@ void DistNearCliqueNode::read_sampled_bits(NodeApi& api, VersionState& vs) {
   for (std::size_t ni = 0; ni < api.degree(); ++ni) {
     InStream* in = api.find_in(ni, key(kSampled, 0, vs.w));
     // Each neighbour sends exactly one bit; consume it once.
-    if (in->available() > 0 && in->pop() != 0) vs.s_nbr.push_back(ni);
+    if (in->available() > 0 && in->pop(1) != 0) vs.s_nbr.push_back(ni);
   }
   vs.s_known = true;
   if (vs.in_s) {

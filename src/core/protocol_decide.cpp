@@ -69,7 +69,7 @@ void DistNearCliqueNode::run_votes_and_verdicts(NodeApi& api) {
           if (in == nullptr) continue;
           while (in->available() > 0) {
             ++ps.votes_in;
-            if (in->pop() == 0) ps.all_children_ack = false;
+            if (in->pop(1) == 0) ps.all_children_ack = false;
           }
         }
       }
@@ -117,7 +117,7 @@ void DistNearCliqueNode::run_votes_and_verdicts(NodeApi& api) {
         InStream* in =
             api.find_in(ps.parent_ni, key(kVerdict, ps.root, ps.version));
         if (in != nullptr && in->available() > 0) {
-          const bool survive = in->pop() != 0;
+          const bool survive = in->pop(1) != 0;
           ps.survived = survive;
           ps.resolved = true;
           if (ps.is_member && !ps.child_nis.empty()) {

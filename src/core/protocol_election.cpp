@@ -43,7 +43,7 @@ void DistNearCliqueNode::run_election(NodeApi& api, VersionState& vs) {
                               InStream& in) {
     if (k.version != vs.w) return;
     while (in.available() > 0) {
-      const auto dist = static_cast<std::uint32_t>(in.pop());
+      const auto dist = static_cast<std::uint32_t>(in.pop(idw()));
       handle_flood(api, vs, ni, k.tag, dist);
     }
   });
@@ -55,7 +55,7 @@ void DistNearCliqueNode::run_election(NodeApi& api, VersionState& vs) {
     (void)ni;
     if (k.version != vs.w) return;
     while (in.available() > 0) {
-      const bool flag = in.pop() != 0;
+      const bool flag = in.pop(1) != 0;
       const NodeId cand = k.tag;
       if (cand == api.id()) {
         assert(vs.own_deficit > 0);

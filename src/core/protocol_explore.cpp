@@ -91,7 +91,7 @@ void DistNearCliqueNode::run_explore(NodeApi& api, VersionState& vs,
       }
       if (all_have) {
         for (const std::size_t ni : ps.child_nis) {
-          sum += child_in(ni)->pop();
+          sum += child_in(ni)->pop(idw());
           ++local_ops_;
         }
         if (is_root) {
@@ -129,7 +129,7 @@ void DistNearCliqueNode::run_explore(NodeApi& api, VersionState& vs,
             open_counted(api, key(kKCount, ps.root, ps.version), ps.child_nis);
       }
       while (in->available() > 0 && ps.counts_filled < total) {
-        const auto c = static_cast<std::uint32_t>(in->pop());
+        const auto c = static_cast<std::uint32_t>(in->pop(idw()));
         ps.counts[ps.counts_filled++] = c;
         if (ps.kcount_opened) ps.kcount_out.put(c, idw());
       }
@@ -179,7 +179,7 @@ void DistNearCliqueNode::run_explore(NodeApi& api, VersionState& vs,
         continue;
       }
       while (in->available() > 0 && ps.pn_consumed[i] < total) {
-        const auto bit = in->pop();
+        const auto bit = in->pop(1);
         if (counted) {
           // Only neighbours we actually inspect count as local computation
           // (Section 5.3's estimate mode saves exactly this inspection).
@@ -236,7 +236,9 @@ void DistNearCliqueNode::run_explore(NodeApi& api, VersionState& vs,
         }
       }
       if (all_have) {
-        for (const std::size_t ni : ps.child_nis) sum += child_in(ni)->pop();
+        for (const std::size_t ni : ps.child_nis) {
+          sum += child_in(ni)->pop(idw());
+        }
         if (is_root) {
           ps.tcounts[ps.tsum_next] = static_cast<std::uint32_t>(sum);
         } else {
@@ -294,8 +296,10 @@ void DistNearCliqueNode::run_explore(NodeApi& api, VersionState& vs,
             open_counted(api, key(kReport, ps.root, ps.version), ps.child_nis);
       }
       while (in->available() > 0 && ps.report_relay_next < ps.s + 1u) {
-        const auto v = in->pop();
-        if (ps.report_relay_next < ps.s) {
+        // s one-bit digits of X*, then |T| as an ID-width count.
+        const bool digit = ps.report_relay_next < ps.s;
+        const auto v = in->pop(digit ? 1u : idw());
+        if (digit) {
           if (v != 0) ps.x_star |= 1ULL << ps.report_relay_next;
           if (need_relay) ps.report_out.put_bit(v != 0);
         } else {

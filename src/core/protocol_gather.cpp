@@ -75,7 +75,7 @@ void DistNearCliqueNode::run_tree_final(NodeApi& api, VersionState& vs) {
     if (k.version != vs.w) return;
     while (in.available() > 0) {
       ++vs.parentof_in;
-      if (in.pop() != 0) vs.tree_children.push_back(ni);
+      if (in.pop(1) != 0) vs.tree_children.push_back(ni);
     }
   });
   if (vs.parentof_in == vs.s_nbr.size()) {
@@ -104,7 +104,7 @@ void DistNearCliqueNode::run_gather(NodeApi& api, VersionState& vs) {
           all_finished = false;
           continue;
         }
-        while (in->available() > 0) vs.gather_out.put(in->pop(), idw());
+        while (in->available() > 0) vs.gather_out.put(in->pop(idw()), idw());
         if (!in->finished()) all_finished = false;
       }
       if (all_finished) vs.gather_out.close();
@@ -118,7 +118,7 @@ void DistNearCliqueNode::run_gather(NodeApi& api, VersionState& vs) {
         continue;
       }
       while (in->available() > 0) {
-        vs.gathered.push_back(static_cast<NodeId>(in->pop()));
+        vs.gathered.push_back(static_cast<NodeId>(in->pop(idw())));
       }
       if (!in->finished()) all_finished = false;
     }
@@ -148,7 +148,7 @@ void DistNearCliqueNode::run_gather(NodeApi& api, VersionState& vs) {
             open_counted(api, key(kCompList, root, vs.w), vs.tree_children);
       }
       while (in->available() > 0) {
-        const auto id = static_cast<NodeId>(in->pop());
+        const auto id = static_cast<NodeId>(in->pop(idw()));
         vs.comp.push_back(id);
         if (vs.complist_opened) vs.complist_out.put(id, idw());
       }
@@ -198,7 +198,7 @@ void DistNearCliqueNode::run_gather(NodeApi& api, VersionState& vs) {
         if (k.version != vs.w || k.tag != root) return;
         while (in.available() > 0) {
           ++vs.fringe_in;
-          if (in.pop() != 0) vs.fringe_children.push_back(ni);
+          if (in.pop(1) != 0) vs.fringe_children.push_back(ni);
         }
       });
     }
@@ -243,10 +243,10 @@ void DistNearCliqueNode::run_fringe(NodeApi& api, VersionState& vs) {
     adj.member_nbrs.push_back(from);
     if (adj.members.empty()) {
       while (in.available() > 0) {
-        adj.members.push_back(static_cast<NodeId>(in.pop()));
+        adj.members.push_back(static_cast<NodeId>(in.pop(idw())));
       }
     } else {
-      while (in.available() > 0) in.pop();  // duplicate copy; discard
+      while (in.available() > 0) in.pop(idw());  // duplicate copy; discard
     }
   });
 
@@ -306,7 +306,7 @@ void DistNearCliqueNode::run_participation(NodeApi& api, VersionState& vs) {
       InStream* in = api.find_in(ni, key(kParticipate, 0, vs.w));
       if (in == nullptr) continue;
       while (in->available() > 0) {
-        vs.nbr_participation[ni].push_back(static_cast<NodeId>(in->pop()));
+        vs.nbr_participation[ni].push_back(static_cast<NodeId>(in->pop(idw())));
       }
       if (in->closed()) ++closed;
     }

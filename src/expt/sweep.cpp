@@ -576,11 +576,15 @@ SweepSpec sweep_spec_from_json(const std::string& text) {
     } else if (key == "success2") {
       spec.success2 = success_spec_from_json(value, "success2");
     } else {
-      throw std::invalid_argument(
-          "sweep spec has no field '" + key +
-          "'; fields: title, scenario, algorithms, axes, trials, seed_base, "
-          "seeds, threads, faults, reliability, telemetry, success, "
-          "success2");
+      std::string fields =
+          "title, scenario, algorithms, axes, trials, seed_base, seeds, "
+          "threads";
+      for (const PlanRow& plan : plan_table()) {
+        fields += std::string(", ") + plan.name;
+      }
+      throw std::invalid_argument("sweep spec has no field '" + key +
+                                  "'; fields: " + fields +
+                                  ", success, success2");
     }
   }
   if (!have_scenario) {

@@ -38,15 +38,15 @@ namespace nc {
 ///
 /// Each bucket is stored structure-of-arrays: a dense vector of 16-byte
 /// packed (ni, tag, version) keys that the binary search strides, and a
-/// parallel vector of the 56-byte InStream payloads indexed by the same
-/// position. An InStream's SymbolBuffer keeps its first 64 payload bits
-/// and first 8 symbol widths inline and spills both into one heap block
-/// only past either (message.hpp), so the typical 1–2 symbol stream lives
-/// entirely in its bucket slot: opening it allocates nothing beyond the
-/// bucket's own growth, and tearing the inbox down frees nothing per
-/// stream. An AoS bucket (key embedded next to its stream) would make
-/// every search probe pull a ~72-byte element into cache and every insert
-/// shift whole InStreams; splitting the keys out keeps four of them per
+/// parallel vector of the 32-byte InStream payloads indexed by the same
+/// position. An InStream holds payload bits only and keeps its first 64
+/// inline, spilling into one heap block past that (stream.hpp), so the
+/// typical few-symbol stream lives entirely in its bucket slot: opening it
+/// allocates nothing beyond the bucket's own growth, and tearing the inbox
+/// down frees nothing per stream. An AoS bucket (key embedded next to its
+/// stream) would make every search probe pull a 48-byte element into cache
+/// and every insert shift whole InStreams; splitting the keys out keeps
+/// four of them per
 /// cache line, which matters because the two hottest operations in the
 /// whole simulator — open() on each delivered message and find() on each
 /// protocol-side poll — both funnel into this search.

@@ -88,11 +88,11 @@ bool Link::schedule_view(std::size_t budget_bits, unsigned header_bits,
     throw std::runtime_error(
         "CONGEST violation: bandwidth smaller than stream header");
   }
-  const std::uint8_t* widths = s.state->buf.widths();
-  const std::size_t total = s.state->buf.size();
+  const SymbolBuffer& buf = s.state->buf;
+  const std::size_t total = buf.size();
   std::size_t room = budget_bits - header_bits;
   while (s.next_symbol < total) {
-    const unsigned w = widths[s.next_symbol];
+    const unsigned w = buf.width_at(s.next_symbol);
     if (w > room) {
       if (out.symbol_count == 0 && w > budget_bits - header_bits) {
         throw std::runtime_error(

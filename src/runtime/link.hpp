@@ -13,14 +13,16 @@ namespace nc {
 /// producer's shared payload buffer. This is what the hot path hands to the
 /// staging lanes — the payload is copied exactly once, straight into the
 /// lane's packed words (src/runtime/msgblock.hpp), never into a per-message
-/// symbol vector.
+/// symbol vector. The symbol fields are the link's cursor bookkeeping
+/// (schedule_matches advances sibling links by them); everything downstream
+/// copies the bit range [bit_off, bit_off + bit_len) and no widths.
 ///
 /// Lifetime: the view borrows `buf` from the link's stream state. It is
 /// valid until the link's streams are pruned — consume it before calling
 /// release_idle() (the schedulers below never prune while a view is out).
 struct MsgView {
   StreamKey key;
-  const SymbolBuffer* buf = nullptr;  ///< null only when symbol_count == 0
+  const SymbolBuffer* buf = nullptr;  ///< set by every scheduler
   std::size_t first_symbol = 0;       ///< index of the run's first symbol
   std::size_t symbol_count = 0;
   std::size_t bit_off = 0;   ///< bit offset of the run's first symbol in buf

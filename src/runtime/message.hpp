@@ -1,7 +1,7 @@
 #pragma once
 
-#include <array>
 #include <compare>
+#include <cstddef>
 #include <cstdint>
 
 #include "util/ids.hpp"
@@ -43,57 +43,49 @@ inline constexpr std::uint16_t kMaxStreamVersions = 16;
 /// FIFO links neither lose nor reorder, so no sequence number is needed.
 unsigned stream_header_bits(unsigned id_bits) noexcept;
 
-/// Append-only packed buffer of variable-width symbols.
+/// Append-only packed run of bits: the one implementation of bit packing.
 ///
-/// A symbol is an unsigned value together with its width in bits; the width
-/// is what the CONGEST accountant charges for it. Buffers are immutable once
-/// handed to the runtime and may be shared among many outgoing links (a
-/// broadcast writes its payload once). Readers walk it with
-/// width_at / value_at, tracking the bit offset themselves (InStream::pop).
+/// A BitRun knows no symbol boundaries — widths are the sender's business
+/// (SymbolBuffer below) and the reader's (the protocol's message format).
+/// It is the receive-side payload store of every InStream and the payload
+/// half of every SymbolBuffer; the runtime moves bits between them in
+/// 64-bit chunks (copy_out into a staged row, append_packed out of it).
 ///
-/// Small-buffer storage: almost every stream the protocols open carries a
-/// handful of O(log n)-bit symbols (1-bit flags, acks, votes, short lists),
-/// so the first 64 payload bits and the first 8 symbol widths live inside
-/// the object and such a buffer never touches the heap. A buffer that
-/// outgrows either spills both arrays into one heap block (words, then
-/// widths) and stays there. The representation is a pure function of
-/// (size(), bit_size()) — inline iff size() <= 8 and bit_size() <= 64 —
-/// and so are the heap capacities, so the object stores no flag and no
-/// capacity: 32 bytes. Moves steal the heap block and are noexcept, so
-/// containers of streams relocate instead of copying. An append (spill or
-/// reallocation) or a move of the buffer itself may move words() and
-/// widths(): readers fetch them per use and never keep them across either.
-class SymbolBuffer {
+/// Small-buffer storage: the first 64 bits live inside the object, so the
+/// typical stream of a few O(log n)-bit symbols never touches the heap.
+/// A run that outgrows the word spills into one heap block and stays
+/// there. The representation is a pure function of bit_size() — inline iff
+/// bit_size() <= 64 — and so is the heap capacity, so the object stores no
+/// flag and no capacity: 16 bytes. Moves steal the heap block and are
+/// noexcept, so containers of runs relocate instead of copying. An append
+/// (spill or reallocation) or a move of the run itself may move words():
+/// readers fetch it per use and never keep it across either.
+class BitRun {
  public:
-  SymbolBuffer() noexcept = default;
-  SymbolBuffer(const SymbolBuffer& other);
-  SymbolBuffer(SymbolBuffer&& other) noexcept;
-  SymbolBuffer& operator=(const SymbolBuffer& other);
-  SymbolBuffer& operator=(SymbolBuffer&& other) noexcept;
-  ~SymbolBuffer();
+  BitRun() noexcept = default;
+  BitRun(const BitRun& other);
+  BitRun(BitRun&& other) noexcept;
+  BitRun& operator=(const BitRun& other);
+  BitRun& operator=(BitRun&& other) noexcept;
+  ~BitRun();
 
-  /// Appends a symbol of `width` bits (1..64). Precondition: value < 2^width.
+  /// Appends the `width` (1..64) low bits of `value`. Precondition:
+  /// value < 2^width.
   void put(std::uint64_t value, unsigned width);
 
-  /// Appends a single bit.
-  void put_bit(bool b) { put(b ? 1 : 0, 1); }
+  /// Appends `nbits` bits read from a word array starting at its bit 0
+  /// (little-endian bit order within each word; bits of the last word past
+  /// `nbits` are ignored). Produces the exact run a sequence of put() calls
+  /// with the same bits would. The source must not be this run's own
+  /// storage (growing it may move that storage).
+  void append_packed(const std::uint64_t* src, std::size_t nbits);
 
-  /// Number of symbols stored.
-  [[nodiscard]] std::size_t size() const noexcept { return count_; }
-
-  /// Total payload width in bits.
-  [[nodiscard]] std::size_t bit_size() const noexcept { return total_bits_; }
-
-  /// Width of the idx-th symbol.
-  [[nodiscard]] unsigned width_at(std::size_t idx) const noexcept {
-    return widths()[idx];
-  }
-
-  /// Value of the symbol starting at bit offset `bit_off` with given width.
-  [[nodiscard]] std::uint64_t value_at(std::size_t bit_off,
-                                       unsigned width) const noexcept {
-    const std::size_t word = bit_off >> 6;
-    const unsigned off = static_cast<unsigned>(bit_off & 63);
+  /// The `width` (1..64) bits starting at bit `bit`. Precondition:
+  /// bit + width <= bit_size().
+  [[nodiscard]] std::uint64_t read(std::size_t bit,
+                                   unsigned width) const noexcept {
+    const std::size_t word = bit >> 6;
+    const unsigned off = static_cast<unsigned>(bit & 63);
     const std::uint64_t* w = words();
     std::uint64_t v = w[word] >> off;
     if (off + width > 64) v |= w[word + 1] << (64 - off);
@@ -101,94 +93,106 @@ class SymbolBuffer {
     return v;
   }
 
-  /// Raw packed words (little-endian bit order within each word). With
-  /// word_count() and widths(), lets the runtime's SoA lanes blit symbol
-  /// runs in 64-bit chunks instead of re-packing symbol by symbol.
-  [[nodiscard]] const std::uint64_t* words() const noexcept {
-    return is_inline() ? &store_.in.word : store_.heap.words;
-  }
-  [[nodiscard]] std::size_t word_count() const noexcept {
-    return (total_bits_ + 63) >> 6;
-  }
-  [[nodiscard]] const std::uint8_t* widths() const noexcept {
-    return is_inline() ? store_.in.widths.data() : store_.heap.widths;
+  /// Copies bits [bit, bit + nbits) word-aligned into `dst`, which must hold
+  /// (nbits + 63) / 64 words; bits of the last word past `nbits` are zero.
+  /// Precondition: bit + nbits <= bit_size().
+  void copy_out(std::size_t bit, std::size_t nbits,
+                std::uint64_t* dst) const noexcept {
+    for (std::size_t k = 0; nbits > 0; ++k) {
+      const unsigned take = nbits >= 64 ? 64u : static_cast<unsigned>(nbits);
+      dst[k] = read(bit + (k << 6), take);
+      nbits -= take;
+    }
   }
 
-  /// Bulk append: copies `count` symbols totalling `nbits` payload bits out
-  /// of another packed word array, starting at bit `src_bit`. Produces the
-  /// exact buffer a sequence of put() calls with the same values/widths
-  /// would — the deliver path uses it to move a whole message in word-sized
-  /// chunks. The source must not be this buffer's own storage (growing it
-  /// may move that storage).
-  void append_packed(const std::uint64_t* src_words, std::size_t src_word_count,
-                     std::size_t src_bit, std::size_t nbits,
-                     const std::uint8_t* widths, std::size_t count);
+  /// Total bits stored.
+  [[nodiscard]] std::size_t bit_size() const noexcept { return bits_; }
+
+  /// Raw packed words (little-endian bit order within each word); bits past
+  /// bit_size() in the last word are zero.
+  [[nodiscard]] const std::uint64_t* words() const noexcept {
+    return is_inline() ? &store_.word : store_.heap;
+  }
+  [[nodiscard]] std::size_t word_count() const noexcept {
+    return (bits_ + 63) >> 6;
+  }
 
  private:
   static constexpr std::size_t kInlineBits = 64;
-  static constexpr std::size_t kInlineSymbols = 8;
 
-  /// Inline payload word and widths, used while the buffer fits them.
-  struct Inline {
-    std::uint64_t word;
-    std::array<std::uint8_t, kInlineSymbols> widths;
-  };
-  /// The spilled block: `words` is the start of one operator-new block
-  /// that holds heap_words(bit_size()) words followed by the widths.
-  struct Heap {
-    std::uint64_t* words;
-    std::uint8_t* widths;
-  };
+  /// The inline word, or the start of the one operator-new heap block.
   union Store {
-    Inline in;
-    Heap heap;
+    std::uint64_t word;
+    std::uint64_t* heap;
   };
 
   [[nodiscard]] bool is_inline() const noexcept {
-    return fits_inline(total_bits_, count_);
-  }
-  [[nodiscard]] static bool fits_inline(std::size_t bits,
-                                        std::size_t count) noexcept {
-    return bits <= kInlineBits && count <= kInlineSymbols;
+    return bits_ <= kInlineBits;
   }
 
-  /// Makes room for `bits` payload bits and `count` symbols (both at least
-  /// the current sizes): spills to, or reallocates, the heap block when the
-  /// capacities for the new sizes differ from the current ones. Words past
-  /// the payload are zero afterwards, as writers OR into them.
-  void grow_to(std::size_t bits, std::size_t count);
+  /// Makes room for `bits` (at least bit_size()) bits and sets bit_size()
+  /// to it: spills to, or reallocates, the heap block when the capacity
+  /// for the new size differs from the current one. Words past the old
+  /// size are zero afterwards, as writers OR into them. Returns the
+  /// writable words.
+  std::uint64_t* grow_to(std::size_t bits);
 
-  /// Writable views of the current storage.
-  [[nodiscard]] std::uint64_t* words_mut() noexcept {
-    return is_inline() ? &store_.in.word : store_.heap.words;
-  }
-  [[nodiscard]] std::uint8_t* widths_mut() noexcept {
-    return is_inline() ? store_.in.widths.data() : store_.heap.widths;
-  }
-
-  /// Frees the heap block, if any, and resets to the empty inline buffer.
+  /// Frees the heap block, if any, and resets to the empty inline run.
   void reset() noexcept;
 
   /// Takes over `other`'s storage (this must hold no heap block) and
   /// leaves `other` empty and inline.
-  void take(SymbolBuffer& other) noexcept;
+  void take(BitRun& other) noexcept;
 
-  Store store_{Inline{0, {}}};
-  std::size_t total_bits_ = 0;
-  std::size_t count_ = 0;
+  Store store_{0};
+  std::size_t bits_ = 0;
 };
 
-/// Reads `take` (1..64) bits starting at absolute bit `bit` from a packed
-/// word array. `word_count` guards the straddling read at the array's end.
-[[nodiscard]] inline std::uint64_t read_packed_bits(
-    const std::uint64_t* words, std::size_t word_count, std::size_t bit,
-    unsigned take) noexcept {
-  const std::size_t word = bit >> 6;
-  const unsigned off = static_cast<unsigned>(bit & 63);
-  std::uint64_t v = words[word] >> off;
-  if (off != 0 && word + 1 < word_count) v |= words[word + 1] << (64 - off);
-  if (take < 64) v &= (1ULL << take) - 1;
-  return v;
-}
+/// Append-only packed buffer of variable-width symbols: the producer side
+/// of a stream.
+///
+/// A symbol is an unsigned value together with its width in bits; the width
+/// is what the link packs into a message and what the CONGEST accountant
+/// charges. Only the sender needs it: links never split a symbol, and the
+/// receiver pops each symbol with the width its message format fixes. So
+/// a SymbolBuffer is a BitRun of payload plus a second BitRun of one width
+/// byte per symbol, read by Link::schedule_view and nothing downstream of
+/// it. Both runs keep their first 64 bits inline — 8 symbols of up to 64
+/// payload bits never touch the heap — so the buffer is 32 bytes. Buffers
+/// are immutable once handed to the runtime and may be shared among many
+/// outgoing links (a broadcast writes its payload once).
+class SymbolBuffer {
+ public:
+  /// Appends a symbol of `width` bits (1..64). Precondition: value < 2^width.
+  void put(std::uint64_t value, unsigned width) {
+    bits_.put(value, width);
+    widths_.put(width, 8);
+  }
+
+  /// Appends a single bit.
+  void put_bit(bool b) { put(b ? 1 : 0, 1); }
+
+  /// Number of symbols stored.
+  [[nodiscard]] std::size_t size() const noexcept {
+    return widths_.bit_size() >> 3;
+  }
+
+  /// Total payload width in bits.
+  [[nodiscard]] std::size_t bit_size() const noexcept {
+    return bits_.bit_size();
+  }
+
+  /// Width of the idx-th symbol.
+  [[nodiscard]] unsigned width_at(std::size_t idx) const noexcept {
+    return static_cast<unsigned>(widths_.read(idx << 3, 8));
+  }
+
+  /// The packed payload bits.
+  [[nodiscard]] const BitRun& bits() const noexcept { return bits_; }
+
+ private:
+  BitRun bits_;
+  BitRun widths_;  ///< one byte per symbol
+};
 
 }  // namespace nc

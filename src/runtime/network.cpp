@@ -395,14 +395,7 @@ void Network::deliver_row(Shard& dst, TrafficBatch& batch,
     auto& st = states_[to[j]];
     st.rx_by_kind[r.key.kind] += 1;
     InStream& stream = st.inbox.open(back[j], r.key);
-    if (r.spilled) {
-      stream.deliver_packed(r.pay_words, r.pay_word_count, 0, r.pay_bits,
-                            r.pay_widths, r.symbol_count);
-    } else {
-      // Inline fast path: the dominant CONGEST kinds carry 1–2 words.
-      if (r.symbol_count >= 1) stream.deliver(r.v0, r.w0);
-      if (r.symbol_count == 2) stream.deliver(r.v1, r.w1);
-    }
+    stream.deliver(r.pay_words, r.pay_bits);
     if (r.eos) stream.deliver_eos();
     wake(dst, to[j]);
   }

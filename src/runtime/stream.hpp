@@ -5,6 +5,7 @@
 #include <type_traits>
 
 #include "runtime/message.hpp"
+#include "util/check.hpp"
 
 namespace nc {
 
@@ -61,37 +62,41 @@ class OutChannel {
   std::shared_ptr<OutStreamState> state_;
 };
 
-/// Receiver side of a logical stream: a growing buffer of delivered symbols
-/// plus the EOS flag. Protocol code consumes it strictly sequentially.
+/// Receiver side of a logical stream: the delivered payload bits plus the
+/// EOS flag. Protocol code consumes it strictly sequentially.
+///
+/// The stream holds bits only — no symbol widths. Links never split a
+/// symbol, so whenever bits are available at least one whole symbol is,
+/// and each pop() names the width that the protocol's message format fixes
+/// for the next symbol (an ID is id_width(n) bits, a flag is one). Storage
+/// is one BitRun: the first 64 bits inline, one heap block past that, so
+/// the typical few-symbol stream lives entirely in its inbox slot. 32 bytes.
 class InStream {
  public:
-  /// Appends a delivered symbol (runtime use).
-  void deliver(std::uint64_t value, unsigned width) { buf_.put(value, width); }
-
-  /// Appends a whole run of `count` symbols (`nbits` payload bits) blitted
-  /// from a packed word array in 64-bit chunks (runtime use — the deliver
-  /// phase moves a message's payload with this instead of per-symbol puts;
-  /// the resulting buffer is bit-identical to the put() sequence).
-  void deliver_packed(const std::uint64_t* words, std::size_t word_count,
-                      std::size_t src_bit, std::size_t nbits,
-                      const std::uint8_t* widths, std::size_t count) {
-    buf_.append_packed(words, word_count, src_bit, nbits, widths, count);
+  /// Appends `nbits` delivered payload bits read from a word array starting
+  /// at its bit 0 (runtime use — the deliver phase hands over a staged
+  /// row's payload words).
+  void deliver(const std::uint64_t* words, std::size_t nbits) {
+    bits_.append_packed(words, nbits);
   }
 
   /// Marks EOS delivered (runtime use).
   void deliver_eos() noexcept { closed_ = true; }
 
-  /// Symbols delivered but not yet consumed.
+  /// Payload bits delivered but not yet consumed; > 0 means at least one
+  /// whole symbol is waiting.
   [[nodiscard]] std::size_t available() const noexcept {
-    return buf_.size() - read_idx_;
+    return bits_.bit_size() - read_bit_;
   }
 
-  /// Consumes the next symbol. Precondition: available() > 0.
-  std::uint64_t pop() noexcept {
-    const unsigned w = buf_.width_at(read_idx_);
-    const std::uint64_t v = buf_.value_at(read_bit_, w);
-    read_bit_ += w;
-    ++read_idx_;
+  /// Consumes the next symbol, `width` (1..64) bits wide. Precondition:
+  /// width <= available().
+  std::uint64_t pop(unsigned width) noexcept {
+    nc_invariant(width >= 1 && width <= available(),
+                 "InStream::pop past the delivered bits (wrong symbol width "
+                 "for this message format?)");
+    const std::uint64_t v = bits_.read(read_bit_, width);
+    read_bit_ += width;
     return v;
   }
 
@@ -103,12 +108,8 @@ class InStream {
     return closed_ && available() == 0;
   }
 
-  /// Total symbols ever delivered (consumed or not).
-  [[nodiscard]] std::size_t delivered() const noexcept { return buf_.size(); }
-
  private:
-  SymbolBuffer buf_;
-  std::size_t read_idx_ = 0;
+  BitRun bits_;
   std::size_t read_bit_ = 0;
   bool closed_ = false;
 };
@@ -117,6 +118,6 @@ class InStream {
 // throwing move would make them copy, and the element size is what the
 // inbox's cache-footprint budget (inbox.hpp) is written against.
 static_assert(std::is_nothrow_move_constructible_v<InStream>);
-static_assert(sizeof(InStream) <= 64);
+static_assert(sizeof(InStream) <= 32);
 
 }  // namespace nc

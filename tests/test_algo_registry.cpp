@@ -279,6 +279,21 @@ TEST(AlgorithmRegistry, RetiredReliabilityModeIsRejectedInAlgoParams) {
   }
 }
 
+TEST(AlgorithmRegistry, MaxRoundsBelowTheDecisionBudgetIsRejected) {
+  // n = 60: the auto schedule needs max_rounds > 4n + 256 + 16 = 512.
+  const auto inst = small_instance();
+  ASSERT_EQ(inst.graph.n(), 60u);
+  try {
+    (void)AlgorithmRegistry::global().run(
+        inst.graph, parse_algo_spec("dist_near_clique", "max_rounds=512", 1));
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("needs max_rounds >= 513"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(AlgorithmRegistry, ParseAlgoSpecRoundTrip) {
   const auto spec = parse_algo_spec("dist_near_clique", "eps=0.15,pn=6", 9);
   EXPECT_EQ(spec.name, "dist_near_clique");

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <stdexcept>
+#include <string>
 
 #include "core/boosting.hpp"
 #include "core/driver.hpp"
@@ -158,16 +160,22 @@ TEST(Integration, Lemma53EveryOutputClusterIsNearClique) {
   }
 }
 
-TEST(Integration, TinyAutoBudgetFreezesGracefullyToAllBottom) {
-  // With a tiny round limit the auto schedule collapses the version window;
-  // the run freezes immediately, terminates cleanly and outputs all-bottom
-  // (the wrapper's "give up deterministically" behaviour).
+TEST(Integration, TinyAutoBudgetIsRejectedUpFront) {
+  // A round limit that leaves the auto schedule no version window (n = 100:
+  // decision budget 4n + 256 = 656, + 16) could only abort with every label
+  // bottom. The driver rejects it before building the network and names
+  // the minimum.
   const auto inst = planted(100, 40, 0.0, 5);
   auto cfg = base_config(0.2, 0.3, 5);
   cfg.net.max_rounds = 60;
-  const auto res = run_dist_near_clique(inst.graph, cfg);
-  for (const auto label : res.labels) EXPECT_EQ(label, kBottom);
-  EXPECT_TRUE(res.candidates.empty() || !res.aborted() || res.aborted());
+  try {
+    (void)run_dist_near_clique(inst.graph, cfg);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("needs max_rounds >= 673"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Integration, TimeBoundWrapperAbortsToAllBottom) {

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "core/boosting.hpp"
 #include "core/params.hpp"
@@ -110,9 +112,35 @@ TEST(Schedule, AutoBudgetsArePositiveAndFit) {
 }
 
 TEST(Schedule, TinyRoundLimitStillValid) {
+  // Explicit budgets are taken as given however small the round limit: a
+  // run that outgrows it aborts, which is the time-bound wrapper's choice.
   ProtocolParams proto;
+  proto.version_budget = 3;
   const Schedule s = make_schedule(proto, 10, 8);
-  EXPECT_GE(s.version_budget, 1u);
+  EXPECT_EQ(s.version_budget, 3u);
+  EXPECT_EQ(s.decision_budget, 4u * 10 + 256);
+}
+
+TEST(Schedule, AutoBudgetRejectsARoundLimitThatLeavesNoVersionWindow) {
+  // The auto version budget needs max_rounds > decision budget + 16. At
+  // n = 10 that is 296 + 16: 312 is rejected naming the minimum, 313
+  // leaves one round per version.
+  ProtocolParams proto;
+  for (const std::uint64_t max_rounds : {8u, 312u}) {
+    try {
+      (void)make_schedule(proto, 10, max_rounds);
+      ADD_FAILURE() << "expected std::invalid_argument at " << max_rounds;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("needs max_rounds >= 313"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_EQ(make_schedule(proto, 10, 313).version_budget, 1u);
+  // An explicit decision budget moves the minimum with it.
+  proto.decision_budget = 50;
+  EXPECT_THROW((void)make_schedule(proto, 10, 66), std::invalid_argument);
+  EXPECT_EQ(make_schedule(proto, 10, 67).version_budget, 1u);
 }
 
 // ------------------------------------------------------------- Boosting ---

@@ -230,7 +230,7 @@ class AlarmedChatter : public INode {
       const NodeId from = api.neighbors()[ni];
       InStream* in = api.find_in(ni, StreamKey{kData, from, 0});
       if (in == nullptr) continue;
-      while (in->available() > 0) received_.push_back(in->pop());
+      while (in->available() > 0) received_.push_back(in->pop(8));
     }
     if (api.round() >= done_round_) {
       api.set_done();
@@ -315,7 +315,7 @@ TEST(FaultRuntime, DelayedTrafficKeepsTheNetworkAlive) {
     void on_round(NodeApi& api) override {
       InStream* in = api.find_in(0, StreamKey{kData, 0, 0});
       if (in == nullptr) return;
-      while (in->available() > 0) in->pop();
+      while (in->available() > 0) in->pop(8);
       if (in->finished()) {
         got_at_ = api.round();
         api.set_done();
@@ -361,7 +361,7 @@ TEST(FaultRuntime, InFlightMessageSurvivesSenderCrashButNotReceiverCrash) {
     void on_round(NodeApi& api) override {
       InStream* in = api.find_in(0, StreamKey{kData, 0, 0});
       if (in != nullptr) {
-        while (in->available() > 0) in->pop();
+        while (in->available() > 0) in->pop(8);
         if (in->finished()) got_ = true;
       }
       if (api.round() >= 20) api.set_done();

@@ -1,12 +1,19 @@
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "graph/builder.hpp"
 #include "graph/graph.hpp"
+#include "runtime/stream.hpp"
 #include "util/ids.hpp"
 
 namespace nc::testing {
+
+/// Delivers one `width`-bit symbol to `s`, as a one-word staged payload.
+inline void deliver_symbol(InStream& s, std::uint64_t value, unsigned width) {
+  s.deliver(&value, width);
+}
 
 /// K5 with one extra pendant vertex (6 nodes) — the standard small fixture.
 inline Graph clique_with_pendant() {

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "runtime/inbox.hpp"
+#include "test_helpers.hpp"
 
 // Direct unit tests of the flat kind-bucketed inbox: deterministic
 // (ni, key) iteration order, kind isolation, find/open semantics, the
@@ -17,6 +18,8 @@
 
 namespace nc {
 namespace {
+
+using nc::testing::deliver_symbol;
 
 using Seen = std::vector<std::tuple<std::size_t, NodeId, std::uint16_t>>;
 
@@ -35,7 +38,7 @@ TEST(Inbox, IterationOrderIsSortedRegardlessOfInsertionOrder) {
   const std::vector<std::tuple<std::size_t, NodeId, std::uint16_t>> scrambled{
       {2, 5, 0}, {0, 9, 1}, {2, 1, 2}, {0, 9, 0}, {1, 0, 0}, {2, 1, 1}};
   for (const auto& [ni, tag, version] : scrambled) {
-    inbox.open(ni, StreamKey{3, tag, version}).deliver(1, 4);
+    deliver_symbol(inbox.open(ni, StreamKey{3, tag, version}), 1, 4);
   }
   const Seen want{{0, 9, 0}, {0, 9, 1}, {1, 0, 0},
                   {2, 1, 1}, {2, 1, 2}, {2, 5, 0}};
@@ -44,9 +47,9 @@ TEST(Inbox, IterationOrderIsSortedRegardlessOfInsertionOrder) {
 
 TEST(Inbox, KindsAreIsolated) {
   Inbox inbox;
-  inbox.open(0, StreamKey{1, 7, 0}).deliver(1, 4);
-  inbox.open(1, StreamKey{2, 7, 0}).deliver(1, 4);
-  inbox.open(2, StreamKey{1, 8, 0}).deliver(1, 4);
+  deliver_symbol(inbox.open(0, StreamKey{1, 7, 0}), 1, 4);
+  deliver_symbol(inbox.open(1, StreamKey{2, 7, 0}), 1, 4);
+  deliver_symbol(inbox.open(2, StreamKey{1, 8, 0}), 1, 4);
   EXPECT_EQ(collect(inbox, 1).size(), 2u);
   EXPECT_EQ(collect(inbox, 2).size(), 1u);
   EXPECT_TRUE(collect(inbox, 5).empty());
@@ -58,11 +61,11 @@ TEST(Inbox, OpenIsFindOrCreateAndFindDoesNotCreate) {
   const StreamKey key{4, 11, 2};
   EXPECT_EQ(inbox.find(3, key), nullptr);
   InStream& s = inbox.open(3, key);
-  s.deliver(42, 8);
+  deliver_symbol(s, 42, 8);
   InStream* found = inbox.find(3, key);
   ASSERT_NE(found, nullptr);
   EXPECT_EQ(found, &inbox.open(3, key));  // same stream, not a duplicate
-  EXPECT_EQ(found->pop(), 42u);
+  EXPECT_EQ(found->pop(8), 42u);
   // Near-miss keys do not match.
   EXPECT_EQ(inbox.find(3, StreamKey{4, 11, 3}), nullptr);
   EXPECT_EQ(inbox.find(3, StreamKey{4, 12, 2}), nullptr);
@@ -74,13 +77,13 @@ TEST(Inbox, ConsumedPrefixIsSkippedAndRevivedByDelivery) {
   Inbox inbox;
   const std::uint16_t kind = 3;
   for (std::size_t ni = 0; ni < 3; ++ni) {
-    inbox.open(ni, StreamKey{kind, 0, 0}).deliver(ni, 4);
+    deliver_symbol(inbox.open(ni, StreamKey{kind, 0, 0}), ni, 4);
   }
   // First sweep sees all three and drains them.
   std::size_t visited = 0;
   inbox.for_each(kind, [&](std::size_t, const StreamKey&, InStream& s) {
     ++visited;
-    while (s.available() > 0) (void)s.pop();
+    while (s.available() > 0) (void)s.pop(4);
   });
   EXPECT_EQ(visited, 3u);
   // Everything is drained and unclosed: the whole bucket is consumed
@@ -89,7 +92,7 @@ TEST(Inbox, ConsumedPrefixIsSkippedAndRevivedByDelivery) {
   // A delivery to the middle entry pulls the cursor back over it; the
   // trailing (still dead) entry is visited too — only the *prefix* is
   // skipped, so iteration order never changes for surviving entries.
-  inbox.open(1, StreamKey{kind, 0, 0}).deliver(7, 4);
+  deliver_symbol(inbox.open(1, StreamKey{kind, 0, 0}), 7, 4);
   const Seen want{{1, 0, 0}, {2, 0, 0}};
   EXPECT_EQ(collect(inbox, kind), want);
 }
@@ -101,8 +104,8 @@ TEST(Inbox, ClosedStreamsAreNeverSkipped) {
   // entry 1 stays open and gets drained.
   inbox.open(0, StreamKey{kind, 0, 0}).deliver_eos();
   InStream& s1 = inbox.open(1, StreamKey{kind, 0, 0});
-  s1.deliver(5, 4);
-  while (s1.available() > 0) (void)s1.pop();
+  deliver_symbol(s1, 5, 4);
+  while (s1.available() > 0) (void)s1.pop(4);
   // The closed head pins the prefix: visitors that count finished streams
   // (tree finalization, component announce) must keep seeing it, every
   // sweep, even though it has nothing left to pop.

@@ -8,12 +8,15 @@
 #include "runtime/link.hpp"
 #include "runtime/message.hpp"
 #include "runtime/stream.hpp"
+#include "test_helpers.hpp"
 
 // Direct unit tests of the link layer: scheduling, chunking, round-robin,
 // EOS piggybacking and pruning — independent of the Network round loop.
 
 namespace nc {
 namespace {
+
+using nc::testing::deliver_symbol;
 
 constexpr unsigned kHeader = 16;
 
@@ -23,7 +26,8 @@ OutChannel attach(Link& link, const StreamKey& key) {
   return ch;
 }
 
-/// One scheduled message, read out of its view with width_at / value_at.
+/// One scheduled message, read out of its view: widths from the sender's
+/// buffer, values from its payload bits.
 struct Sent {
   StreamKey key;
   std::vector<std::pair<std::uint64_t, unsigned>> symbols;  // value, width
@@ -36,7 +40,7 @@ Sent read_view(const MsgView& v) {
   std::size_t bit = v.bit_off;
   for (std::size_t i = 0; i < v.symbol_count; ++i) {
     const unsigned w = v.buf->width_at(v.first_symbol + i);
-    out.symbols.emplace_back(v.buf->value_at(bit, w), w);
+    out.symbols.emplace_back(v.buf->bits().read(bit, w), w);
     bit += w;
   }
   return out;
@@ -69,22 +73,22 @@ TEST(SymbolBuffer, PacksMixedWidths) {
   EXPECT_EQ(buf.size(), 3u);
   EXPECT_EQ(buf.bit_size(), 20u);
   EXPECT_EQ(buf.width_at(0), 3u);
-  EXPECT_EQ(buf.value_at(0, 3), 0b101u);
+  EXPECT_EQ(buf.bits().read(0, 3), 0b101u);
   EXPECT_EQ(buf.width_at(1), 1u);
-  EXPECT_EQ(buf.value_at(3, 1), 1u);
+  EXPECT_EQ(buf.bits().read(3, 1), 1u);
   EXPECT_EQ(buf.width_at(2), 16u);
-  EXPECT_EQ(buf.value_at(4, 16), 0xffffu);
+  EXPECT_EQ(buf.bits().read(4, 16), 0xffffu);
 }
 
 TEST(SymbolBuffer, CursorSeesAppendsAfterConstruction) {
   InStream in;
   EXPECT_EQ(in.available(), 0u);
-  in.deliver(7, 8);
-  EXPECT_EQ(in.available(), 1u);  // growth visible: pipelining depends on it
-  EXPECT_EQ(in.pop(), 7u);
-  in.deliver(5, 3);
-  EXPECT_EQ(in.available(), 1u);
-  EXPECT_EQ(in.pop(), 5u);
+  deliver_symbol(in, 7, 8);
+  EXPECT_EQ(in.available(), 8u);  // growth visible: pipelining depends on it
+  EXPECT_EQ(in.pop(8), 7u);
+  deliver_symbol(in, 5, 3);
+  EXPECT_EQ(in.available(), 3u);
+  EXPECT_EQ(in.pop(3), 5u);
   EXPECT_EQ(in.available(), 0u);
 }
 

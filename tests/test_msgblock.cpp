@@ -14,6 +14,8 @@
 // zero-copy MsgView, pushed into a MsgBlock (inline or spilled encoding),
 // decoded with record() and replayed into an InStream must reproduce the
 // exact symbol sequence, EOS flag and wire accounting of the direct path.
+// Rows carry payload bits only; the replay pops each symbol by the width
+// the sender used, as a protocol pops by its message format.
 
 namespace nc {
 namespace {
@@ -37,32 +39,31 @@ void schedule(Scheduled& s, const StreamKey& key,
   s.ok = s.link.schedule_view(budget_bits, kHeader, s.view);
 }
 
+using Symbols = std::vector<std::pair<std::uint64_t, unsigned>>;
+
 // Replays a decoded record into an InStream exactly as Network::deliver_row
-// does for each copy, then pops everything back.
-std::vector<std::pair<std::uint64_t, unsigned>> replay(const MsgBlock::Rec& r) {
+// does for each copy, then pops it back symbol by symbol with the widths of
+// `format` and checks that nothing is left over.
+Symbols replay(const MsgBlock::Rec& r, const Symbols& format) {
   InStream in;
-  if (r.spilled) {
-    in.deliver_packed(r.pay_words, r.pay_word_count, 0, r.pay_bits,
-                      r.pay_widths, r.symbol_count);
-  } else {
-    if (r.symbol_count >= 1) in.deliver(r.v0, r.w0);
-    if (r.symbol_count == 2) in.deliver(r.v1, r.w1);
-  }
+  in.deliver(r.pay_words, r.pay_bits);
   if (r.eos) in.deliver_eos();
-  std::vector<std::pair<std::uint64_t, unsigned>> out;
-  // Widths are recoverable from the record for verification purposes.
-  for (std::uint32_t i = 0; i < r.symbol_count; ++i) {
-    unsigned w;
-    if (r.spilled) {
-      w = r.pay_widths[i];
-    } else {
-      w = i == 0 ? r.w0 : r.w1;
+  Symbols out;
+  for (const auto& [value, width] : format) {
+    (void)value;
+    if (in.available() < width) {
+      ADD_FAILURE() << "row holds fewer bits than its format";
+      break;
     }
-    out.emplace_back(in.pop(), w);
+    out.emplace_back(in.pop(width), width);
   }
   EXPECT_EQ(in.available(), 0u);
   EXPECT_EQ(in.closed(), r.eos);
   return out;
+}
+
+bool spilled(const MsgBlock::Rec& r) {
+  return r.pay_bits > MsgBlock::kInlineBits;
 }
 
 TEST(MsgBlock, InlineSingleSymbolRoundTripsEveryKindAndVersion) {
@@ -90,13 +91,11 @@ TEST(MsgBlock, InlineSingleSymbolRoundTripsEveryKindAndVersion) {
     EXPECT_EQ(r.key.tag, keys[i].tag);
     EXPECT_EQ(r.key.version, keys[i].version);
     EXPECT_TRUE(r.eos);  // budget held the whole stream, EOS piggybacked
-    EXPECT_FALSE(r.spilled);
-    EXPECT_EQ(r.symbol_count, 1u);
+    EXPECT_FALSE(spilled(r));
+    EXPECT_EQ(r.pay_bits, 20u);
     EXPECT_EQ(r.wire_bits, kHeader + 20u);
-    const auto symbols = replay(r);
-    ASSERT_EQ(symbols.size(), 1u);
-    EXPECT_EQ(symbols[0].first, i * 7 + 1);
-    EXPECT_EQ(symbols[0].second, 20u);
+    const Symbols want{{i * 7 + 1, 20u}};
+    EXPECT_EQ(replay(r, want), want);
   }
 }
 
@@ -109,13 +108,11 @@ TEST(MsgBlock, InlineTwoSymbolsIncludingMaxWidth) {
   ASSERT_TRUE(s.ok);
   block.push(s.view, 9, 0);
   const MsgBlock::Rec r = block.record(0, kHeader);
-  EXPECT_FALSE(r.spilled);
+  EXPECT_FALSE(spilled(r));
   EXPECT_FALSE(r.eos);  // stream not closed
-  ASSERT_EQ(r.symbol_count, 2u);
   EXPECT_EQ(r.wire_bits, kHeader + 80u);
-  const auto symbols = replay(r);
-  EXPECT_EQ(symbols[0], (std::pair<std::uint64_t, unsigned>{big, 64u}));
-  EXPECT_EQ(symbols[1], (std::pair<std::uint64_t, unsigned>{0x1234u, 16u}));
+  const Symbols want{{big, 64u}, {0x1234u, 16u}};
+  EXPECT_EQ(replay(r, want), want);
 }
 
 TEST(MsgBlock, SpilledManySymbolsRoundTrip) {
@@ -134,11 +131,10 @@ TEST(MsgBlock, SpilledManySymbolsRoundTrip) {
   ASSERT_TRUE(s.ok);
   block.push(s.view, 5, 0);
   const MsgBlock::Rec r = block.record(0, kHeader);
-  EXPECT_TRUE(r.spilled);
+  EXPECT_TRUE(spilled(r));
   EXPECT_TRUE(r.eos);
-  ASSERT_EQ(r.symbol_count, 50u);
   EXPECT_EQ(r.pay_bits, payload_bits);
-  const auto got = replay(r);
+  const auto got = replay(r, symbols);
   for (std::size_t i = 0; i < symbols.size(); ++i) {
     EXPECT_EQ(got[i], symbols[i]) << "symbol " << i;
   }
@@ -156,9 +152,9 @@ TEST(MsgBlock, SpilledMaxWidthSymbolsRoundTrip) {
   ASSERT_TRUE(s.ok);
   block.push(s.view, 1, 0);
   const MsgBlock::Rec r = block.record(0, kHeader);
-  EXPECT_TRUE(r.spilled);
-  ASSERT_EQ(r.symbol_count, 8u);
-  const auto got = replay(r);
+  EXPECT_TRUE(spilled(r));
+  EXPECT_EQ(r.pay_bits, 8u * 64);
+  const auto got = replay(r, symbols);
   for (std::size_t i = 0; i < symbols.size(); ++i) EXPECT_EQ(got[i], symbols[i]);
 }
 
@@ -170,10 +166,10 @@ TEST(MsgBlock, PureEosMessageCarriesNoPayload) {
   block.push(s.view, 3, 0);
   const MsgBlock::Rec r = block.record(0, kHeader);
   EXPECT_TRUE(r.eos);
-  EXPECT_FALSE(r.spilled);
-  EXPECT_EQ(r.symbol_count, 0u);
+  EXPECT_EQ(r.pay_bits, 0u);
   EXPECT_EQ(r.wire_bits, kHeader);
   InStream in;
+  in.deliver(r.pay_words, r.pay_bits);
   if (r.eos) in.deliver_eos();
   EXPECT_TRUE(in.finished());
 }
@@ -184,10 +180,10 @@ TEST(MsgBlock, LocalDrainViewsStageUnbounded) {
   Link link;
   OutChannel ch;
   link.add_stream(StreamKey{4, 77, 0}, ch.state());
-  std::vector<std::uint64_t> sent;
+  Symbols sent;
   for (std::uint64_t i = 0; i < 200; ++i) {
     ch.put(i * 13 + 5, 32);
-    sent.push_back(i * 13 + 5);
+    sent.emplace_back(i * 13 + 5, 32);
   }
   ch.close();
   MsgBlock block;
@@ -197,13 +193,9 @@ TEST(MsgBlock, LocalDrainViewsStageUnbounded) {
       });
   ASSERT_EQ(produced, 1u);
   const MsgBlock::Rec r = block.record(0, kHeader);
-  EXPECT_TRUE(r.spilled);
-  ASSERT_EQ(r.symbol_count, 200u);
-  const auto got = replay(r);
-  for (std::size_t i = 0; i < sent.size(); ++i) {
-    EXPECT_EQ(got[i].first, sent[i]);
-    EXPECT_EQ(got[i].second, 32u);
-  }
+  EXPECT_TRUE(spilled(r));
+  EXPECT_EQ(r.pay_bits, 200u * 32);
+  EXPECT_EQ(replay(r, sent), sent);
 }
 
 TEST(MsgBlock, AppendFromCopiesInlineAndSpilledRows) {
@@ -241,17 +233,16 @@ TEST(MsgBlock, AppendFromCopiesInlineAndSpilledRows) {
   EXPECT_EQ(r0.edge, 10u);
   EXPECT_EQ(r0.copies, 1u);
   EXPECT_EQ(r0.deliver_round, 7u);
-  EXPECT_FALSE(r0.spilled);
-  const auto got0 = replay(r0);
-  ASSERT_EQ(got0.size(), 1u);
-  EXPECT_EQ(got0[0], (std::pair<std::uint64_t, unsigned>{0xabcdu, 16u}));
+  EXPECT_FALSE(spilled(r0));
+  const Symbols want0{{0xabcdu, 16u}};
+  EXPECT_EQ(replay(r0, want0), want0);
 
   const MsgBlock::Rec r1 = bucket.record(1, kHeader);
   EXPECT_EQ(r1.edge, 11u);
   EXPECT_EQ(r1.deliver_round, 9u);
-  EXPECT_TRUE(r1.spilled);
+  EXPECT_TRUE(spilled(r1));
   EXPECT_TRUE(r1.eos);
-  const auto got1 = replay(r1);
+  const auto got1 = replay(r1, symbols);
   ASSERT_EQ(got1.size(), 20u);
   for (std::size_t i = 0; i < 20; ++i) {
     EXPECT_EQ(got1[i], symbols[i]) << "symbol " << i;
@@ -321,13 +312,11 @@ TEST(MsgBlock, BroadcastRowExtendsOverConsecutiveEdges) {
   EXPECT_EQ(r.edge, 40u);
   EXPECT_EQ(r.copies, 3u);
   EXPECT_EQ(r.deliver_round, 0u);
-  EXPECT_FALSE(r.spilled);
+  EXPECT_FALSE(spilled(r));
   EXPECT_TRUE(r.eos);
   // The shared payload decodes once and serves every copy.
-  const auto symbols = replay(r);
-  ASSERT_EQ(symbols.size(), 2u);
-  EXPECT_EQ(symbols[0], (std::pair<std::uint64_t, unsigned>{0xbeefu, 16u}));
-  EXPECT_EQ(symbols[1], (std::pair<std::uint64_t, unsigned>{0x7u, 3u}));
+  const Symbols want{{0xbeefu, 16u}, {0x7u, 3u}};
+  EXPECT_EQ(replay(r, want), want);
 }
 
 TEST(MsgBlock, BroadcastSpilledMaxWidthFansOutToEveryDegree) {
@@ -349,10 +338,10 @@ TEST(MsgBlock, BroadcastSpilledMaxWidthFansOutToEveryDegree) {
     ASSERT_EQ(block.size(), 1u) << "deg " << deg;
     EXPECT_EQ(block.message_count(), deg);
     const MsgBlock::Rec r = block.record(0, kHeader);
-    EXPECT_TRUE(r.spilled);
+    EXPECT_TRUE(spilled(r));
     EXPECT_EQ(r.edge, 100u);
     EXPECT_EQ(r.copies, deg);
-    const auto got = replay(r);
+    const auto got = replay(r, symbols);
     ASSERT_EQ(got.size(), symbols.size());
     for (std::size_t i = 0; i < symbols.size(); ++i) {
       EXPECT_EQ(got[i], symbols[i]) << "deg " << deg << " symbol " << i;
@@ -393,8 +382,8 @@ TEST(MsgBlock, BroadcastReceiversSplitAcrossDstShardLanes) {
   EXPECT_EQ(r1.copies, 1u);  // lone receiver on its shard: a unicast row
   // Both lanes decode the identical payload and identical wire charge.
   EXPECT_EQ(r0.wire_bits, r1.wire_bits);
-  const auto got0 = replay(r0);
-  const auto got1 = replay(r1);
+  const auto got0 = replay(r0, symbols);
+  const auto got1 = replay(r1, symbols);
   EXPECT_EQ(got0, got1);
   for (std::size_t i = 0; i < symbols.size(); ++i) {
     EXPECT_EQ(got0[i], symbols[i]) << "symbol " << i;
@@ -419,10 +408,9 @@ TEST(MsgBlock, BroadcastRowSplitsAtDroppedCopyKeepingOrder) {
   EXPECT_EQ(block.record(1, kHeader).copies, 2u);
   const std::vector<Copy> want{{20, 0}, {21, 0}, {23, 0}, {24, 0}};
   EXPECT_EQ(expand(block), want);
+  const Symbols want_symbols{{0x31u, 8u}};
   for (std::size_t i = 0; i < block.size(); ++i) {
-    const auto got = replay(block.record(i, kHeader));
-    ASSERT_EQ(got.size(), 1u);
-    EXPECT_EQ(got[0], (std::pair<std::uint64_t, unsigned>{0x31u, 8u}));
+    EXPECT_EQ(replay(block.record(i, kHeader), want_symbols), want_symbols);
   }
 }
 
@@ -453,10 +441,8 @@ TEST(MsgBlock, BroadcastRowSplitsAtDelayedCopyKeepingOrder) {
     EXPECT_EQ(r.copies, copies[i]) << "row " << i;
     EXPECT_EQ(r.key.kind, 9u);
     EXPECT_TRUE(r.eos);
-    const auto got = replay(r);
-    ASSERT_EQ(got.size(), 2u);
-    EXPECT_EQ(got[0], (std::pair<std::uint64_t, unsigned>{0x2au, 7u}));
-    EXPECT_EQ(got[1], (std::pair<std::uint64_t, unsigned>{0x15u, 6u}));
+    const Symbols want_symbols{{0x2au, 7u}, {0x15u, 6u}};
+    EXPECT_EQ(replay(r, want_symbols), want_symbols);
   }
 }
 
@@ -475,15 +461,14 @@ TEST(MsgBlock, SplitRowsShareOneSpilledPayload) {
   block.add_copy(4, 11);  // delayed: split
   ASSERT_EQ(block.size(), 3u);
   const MsgBlock::Rec head = block.record(0, kHeader);
-  ASSERT_TRUE(head.spilled);
+  ASSERT_TRUE(spilled(head));
   for (std::size_t i = 1; i < block.size(); ++i) {
     const MsgBlock::Rec r = block.record(i, kHeader);
-    EXPECT_TRUE(r.spilled);
+    EXPECT_TRUE(spilled(r));
     EXPECT_EQ(r.pay_words, head.pay_words) << "row " << i;
-    EXPECT_EQ(r.pay_widths, head.pay_widths) << "row " << i;
-    EXPECT_EQ(replay(r), symbols) << "row " << i;
+    EXPECT_EQ(replay(r, symbols), symbols) << "row " << i;
   }
-  EXPECT_EQ(replay(head), symbols);
+  EXPECT_EQ(replay(head, symbols), symbols);
 }
 
 TEST(MsgBlock, AppendFromParksDelayedBroadcastCopy) {
@@ -497,8 +482,8 @@ TEST(MsgBlock, AppendFromParksDelayedBroadcastCopy) {
 
   Scheduled s;
   std::vector<std::pair<std::uint64_t, unsigned>> symbols;
-  for (unsigned i = 0; i < 9; ++i) symbols.emplace_back(0xa0 + i, 12);
-  schedule(s, StreamKey{6, 13, 1}, symbols, /*close=*/true, kHeader + 9 * 12);
+  for (unsigned i = 0; i < 9; ++i) symbols.emplace_back(0xa0 + i, 20);
+  schedule(s, StreamKey{6, 13, 1}, symbols, /*close=*/true, kHeader + 9 * 20);
   ASSERT_TRUE(s.ok);
   lane.push(s.view, 50, 0);
   lane.add_copy(51, /*deliver_round=*/17);  // this copy is delayed
@@ -516,7 +501,8 @@ TEST(MsgBlock, AppendFromParksDelayedBroadcastCopy) {
   EXPECT_EQ(r.copies, 1u);
   EXPECT_EQ(r.deliver_round, 17u);
   EXPECT_TRUE(r.eos);
-  EXPECT_EQ(replay(r), symbols);
+  EXPECT_TRUE(spilled(r));
+  EXPECT_EQ(replay(r, symbols), symbols);
 }
 
 TEST(MsgBlock, MessageCountCountsPhysicalCopies) {
@@ -539,6 +525,83 @@ TEST(MsgBlock, MessageCountCountsPhysicalCopies) {
   bucket.append_from(block, 1, kHeader);
   EXPECT_EQ(bucket.size(), 1u);
   EXPECT_EQ(bucket.message_count(), 2u);
+}
+
+TEST(MsgBlock, MixedWidthReportStreamRoundTripsEveryPath) {
+  // A kReport-shaped stream — s one-bit digits, then one ID-width count —
+  // staged through every row shape: inline rows (a CONGEST budget splits
+  // the stream over several messages; 128 payload bits is the inline
+  // limit exactly), spilled rows (a LOCAL drain sends it whole), broadcast
+  // rows split by a dropped and a delayed copy, and the delayed bucket.
+  // Each receiver's messages, concatenated in one InStream and popped by
+  // the format's widths, must give the stream back bit for bit.
+  constexpr unsigned kS = 150;
+  constexpr unsigned kIdw = 17;
+  Symbols format;
+  for (unsigned b = 0; b < kS; ++b) {
+    format.emplace_back(((b * 5 + 1) % 3) & 1u, 1);
+  }
+  format.emplace_back(0x1abcdu, kIdw);
+  const std::size_t budgets[] = {kHeader + 40, kHeader + 128, 0};  // 0: LOCAL
+  for (const std::size_t budget : budgets) {
+    Link link;
+    OutChannel ch;
+    link.add_stream(StreamKey{13, 77, 2}, ch.state());
+    for (const auto& [v, w] : format) ch.put(v, w);
+    ch.close();
+    Arena arena;
+    MsgBlock lane;
+    lane.bind(&arena);
+    lane.begin_round();
+    // Every message fans out to edges 10..14: 12's copy is dropped, 13's
+    // is delayed to round 5.
+    const auto stage = [&](const MsgView& v) {
+      lane.push(v, 10, 0);
+      lane.add_copy(11, 0);
+      lane.add_copy(13, 5);
+      lane.add_copy(14, 0);
+    };
+    if (budget == 0) {
+      link.drain_views(kHeader, stage);
+    } else {
+      MsgView v;
+      while (link.schedule_view(budget, kHeader, v)) stage(v);
+    }
+    InStream in[15];
+    MsgBlock bucket;  // heap mode, outlives the lane's round
+    for (std::size_t i = 0; i < lane.size(); ++i) {
+      const MsgBlock::Rec r = lane.record(i, kHeader);
+      EXPECT_EQ(spilled(r), budget == 0) << "budget " << budget;
+      if (r.deliver_round > 0) {
+        bucket.append_from(lane, i, kHeader);
+        continue;
+      }
+      for (std::uint32_t j = 0; j < r.copies; ++j) {
+        in[r.edge + j].deliver(r.pay_words, r.pay_bits);
+        if (r.eos) in[r.edge + j].deliver_eos();
+      }
+    }
+    arena.reset();
+    lane.begin_round();
+    for (std::size_t i = 0; i < bucket.size(); ++i) {
+      const MsgBlock::Rec r = bucket.record(i, kHeader);
+      EXPECT_EQ(r.edge, 13u);
+      in[13].deliver(r.pay_words, r.pay_bits);
+      if (r.eos) in[13].deliver_eos();
+    }
+    EXPECT_EQ(in[12].available(), 0u);
+    EXPECT_FALSE(in[12].closed());
+    for (const std::size_t e : {10u, 11u, 13u, 14u}) {
+      Symbols got;
+      for (const auto& [value, width] : format) {
+        (void)value;
+        ASSERT_GE(in[e].available(), width) << "budget " << budget;
+        got.emplace_back(in[e].pop(width), width);
+      }
+      EXPECT_EQ(got, format) << "budget " << budget << " edge " << e;
+      EXPECT_TRUE(in[e].finished()) << "budget " << budget << " edge " << e;
+    }
+  }
 }
 
 /// The top of the 5-bit kind field (unassigned; kRelAck sits just below).
@@ -566,18 +629,16 @@ TEST(MsgBlock, ReliabilityKindsRoundTripInlineIncludingMaxWidth) {
     EXPECT_EQ(r.key.tag, NodeId(40 + i));
     EXPECT_EQ(r.key.version, 2u);
     EXPECT_TRUE(r.eos);
-    EXPECT_FALSE(r.spilled);
+    EXPECT_FALSE(spilled(r));
     EXPECT_EQ(r.wire_bits, kHeader + 80u);
-    const auto got = replay(r);
-    ASSERT_EQ(got.size(), 2u);
-    EXPECT_EQ(got[0], (std::pair<std::uint64_t, unsigned>{big, 64u}));
-    EXPECT_EQ(got[1], (std::pair<std::uint64_t, unsigned>{0x5a5au, 16u}));
+    const Symbols want{{big, 64u}, {0x5a5au, 16u}};
+    EXPECT_EQ(replay(r, want), want);
   }
 }
 
 TEST(MsgBlock, ReliabilityKindsRoundTripSpilled) {
-  // Same kinds through the spilled encoding (meta's kSpillBit set alongside
-  // the top kind bits), plus the delayed-bucket hand-off: append_from must
+  // Same kinds through the spilled encoding (the row's first word holds the
+  // payload offset), plus the delayed-bucket hand-off: append_from must
   // carry every field, the deliver round included.
   MsgBlock block;
   std::vector<std::pair<std::uint64_t, unsigned>> symbols;
@@ -606,10 +667,10 @@ TEST(MsgBlock, ReliabilityKindsRoundTripSpilled) {
     EXPECT_EQ(r.deliver_round, rounds[i]);
     EXPECT_EQ(r.edge, 7u);
     EXPECT_EQ(r.copies, 1u);
-    EXPECT_TRUE(r.spilled);
+    EXPECT_TRUE(spilled(r));
     EXPECT_TRUE(r.eos);
-    ASSERT_EQ(r.symbol_count, symbols.size());
-    const auto got = replay(r);
+    EXPECT_EQ(r.pay_bits, payload_bits);
+    const auto got = replay(r, symbols);
     for (std::size_t j = 0; j < symbols.size(); ++j) {
       EXPECT_EQ(got[j], symbols[j]) << "kind " << kinds[i] << " symbol " << j;
     }
@@ -617,14 +678,30 @@ TEST(MsgBlock, ReliabilityKindsRoundTripSpilled) {
 }
 
 TEST(ReadPackedBits, GuardsTailWordAndMasks) {
+  // A 128-bit run fills its two-word heap block exactly; reads and the
+  // word-aligned copy_out that ends on its last bit must not touch a third
+  // word (ASan checks), and partial reads are masked.
   const std::uint64_t words[2] = {0xfedcba9876543210u, 0x0f0f0f0f0f0f0f0fu};
+  BitRun run;
+  run.append_packed(words, 128);
   // Straddling read across the word boundary.
-  EXPECT_EQ(read_packed_bits(words, 2, 60, 8), ((words[1] & 0xfu) << 4) |
-                                                   (words[0] >> 60));
-  // Read ending exactly at the end of the array must not touch words[2].
-  EXPECT_EQ(read_packed_bits(words, 2, 64, 64), words[1]);
+  EXPECT_EQ(run.read(60, 8), ((words[1] & 0xfu) << 4) | (words[0] >> 60));
+  // Read ending exactly at the end of the run.
+  EXPECT_EQ(run.read(64, 64), words[1]);
   // Partial tail read with off != 0 near the end.
-  EXPECT_EQ(read_packed_bits(words, 2, 120, 8), words[1] >> 56);
+  EXPECT_EQ(run.read(120, 8), words[1] >> 56);
+  // Unaligned copy_out up to the last bit: shifted words, zero-filled top.
+  std::uint64_t out[2] = {~0ULL, ~0ULL};
+  run.copy_out(4, 124, out);
+  EXPECT_EQ(out[0], (words[0] >> 4) | (words[1] << 60));
+  EXPECT_EQ(out[1], words[1] >> 4);
+  // append_packed ignores source bits past nbits: the stored run stays
+  // zero above its end, so later appends OR into clean bits.
+  BitRun part;
+  part.append_packed(words, 68);
+  EXPECT_EQ(part.words()[1], words[1] & 0xfu);
+  part.put(0, 3);
+  EXPECT_EQ(part.read(68, 3), 0u);
 }
 
 }  // namespace

@@ -37,7 +37,7 @@ class EchoNode : public INode {
         continue;
       }
       while (in->available() > 0) {
-        received_.emplace_back(api.round(), in->pop());
+        received_.emplace_back(api.round(), in->pop(width_));
       }
       if (!in->finished()) all_done = false;
     }
@@ -156,13 +156,13 @@ TEST(Runtime, RoundRobinSharesEdgeBetweenStreams) {
       InStream* b = api.find_in(0, StreamKey{kOther, 2, 0});
       if (a != nullptr) {
         while (a->available() > 0) {
-          a->pop();
+          a->pop(8);
           if (!first_done_round_a_) first_a_ = api.round();
         }
         if (a->finished()) done_a_ = api.round();
       }
       if (b != nullptr) {
-        while (b->available() > 0) b->pop();
+        while (b->available() > 0) b->pop(8);
         if (b->finished()) done_b_ = api.round();
       }
       if (a != nullptr && b != nullptr && a->finished() && b->finished()) {
@@ -376,7 +376,7 @@ TEST(Runtime, QuietNodesAreNeverPolled) {
       }
       InStream* in = api.find_in(0, StreamKey{kData, 0, 0});
       if (in != nullptr) {
-        while (in->available() > 0) in->pop();
+        while (in->available() > 0) in->pop(8);
         if (in->finished()) api.set_done();
       }
     }

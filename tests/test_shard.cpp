@@ -158,7 +158,7 @@ class PingAll : public INode {
       InStream* in =
           api.find_in(ni, StreamKey{kPing, api.neighbors()[ni], 0});
       if (in == nullptr) continue;
-      while (in->available() > 0) checksum += in->pop();
+      while (in->available() > 0) checksum += in->pop(1);
       if (in->finished()) ++finished;
     }
     if (finished == api.degree()) api.set_done();

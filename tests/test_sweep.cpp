@@ -12,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "algo/plans.hpp"
 #include "expt/sweep.hpp"
 
 namespace nc {
@@ -385,7 +386,14 @@ TEST(SweepSpecJson, RejectsMalformedDocuments) {
         R"("algorithms":[{"name":"peeling"}],"gridd":[]})");
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("gridd"), std::string::npos);
+    const std::string what = e.what();
+    EXPECT_NE(what.find("gridd"), std::string::npos);
+    // The field catalogue lists every engine plan.
+    for (const PlanRow& plan : plan_table()) {
+      EXPECT_NE(what.find(std::string(", ") + plan.name + ","),
+                std::string::npos)
+          << plan.name << ": " << what;
+    }
   }
   // Bad fault keys are caught at parse time.
   EXPECT_THROW((void)sweep_spec_from_json(
@@ -425,6 +433,24 @@ TEST(SweepSpecJson, RejectsMalformedDocuments) {
                      R"("algorithms":[{"name":"peeling"}],)" + bad + "}"),
                  std::invalid_argument)
         << bad;
+  }
+}
+
+TEST(SweepSpecJson, MaxRoundsBelowTheDecisionBudgetIsRejected) {
+  // n = 40: the auto schedule needs max_rounds > 4n + 256 + 16 = 432. The
+  // spec parses (max_rounds is an ordinary algorithm param); running it
+  // fails with the schedule's message instead of an all-bottom row.
+  const SweepSpec spec = sweep_spec_from_json(
+      R"({"scenario":{"family":"theorem","params":{"n":40}},)"
+      R"("algorithms":[{"name":"dist_near_clique",)"
+      R"("params":{"max_rounds":432}}]})");
+  try {
+    (void)run_sweep(spec);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("needs max_rounds >= 433"),
+              std::string::npos)
+        << e.what();
   }
 }
 

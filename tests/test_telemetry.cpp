@@ -416,13 +416,15 @@ TEST(StallDiagnostics, RoundLimitReportsThroughTheDriver) {
   // final state, so an aborted NearCliqueResult is self-diagnosing.
   const auto inst = telemetry_instance();
   DriverConfig cfg = telemetry_config();
-  cfg.net.max_rounds = 5;  // far below the protocol's schedule
+  // An explicit version budget far beyond the round limit: the run starts
+  // and hits the limit (an auto budget this tight is rejected up front).
+  cfg.proto.version_budget = 1'000'000;
+  cfg.net.max_rounds = 5;
   const auto res = run_dist_near_clique(inst.graph, cfg);
   ASSERT_TRUE(res.aborted());
   EXPECT_TRUE(res.stall.triggered());
   EXPECT_TRUE(res.stall.hit_round_limit);
-  // The limit feeds the protocol's schedule, so the exact abort round is
-  // schedule-shaped; the report must agree with the run's own accounting.
+  // The report must agree with the run's own accounting.
   EXPECT_EQ(res.stall.rounds, res.stats.rounds);
   EXPECT_FALSE(res.stall.summary().empty());
 }
