@@ -17,9 +17,9 @@
 //
 // build_seconds is Network construction (on_start included; for the
 // protocol rows also the schedule), run_seconds is Network::run. The rates
-// divide by run_seconds. The work counters (rounds, messages, bits, arena
-// and lane peaks, broadcast bytes saved) are exact on every machine, and
-// CI checks a quick run's against the committed artifact.
+// divide by run_seconds. The work counters (rounds, messages, bits, lane
+// bytes and message peaks, broadcast bytes saved) are exact on every
+// machine, and CI checks a quick run's against the committed artifact.
 //
 // Usage: bench_runtime_scale [--json PATH] [--full]
 //   --json PATH  write the JSON artifact to PATH (default BENCH_runtime.json)

@@ -69,7 +69,9 @@
 // --threads=N shards delivery and wake dispatch over N threads for the
 // network-backed algorithms that declare the knob (dist_near_clique).
 // Purely a performance knob: fixed-seed results are bit-identical at every
-// thread count, so sweeps stay reproducible.
+// thread count, so sweeps stay reproducible. `run --json` reports a
+// "label_hash" (FNV-1a over the label vector) to compare two runs' labels
+// without the --dot file.
 //
 // Examples (see src/expt/README.md for the architecture):
 //
@@ -502,6 +504,7 @@ int cmd_run(const Args& args) {
     w.key("max_msg_bits").value(result.stats.max_message_bits);
     w.key("local_ops").value(result.local_ops);
     w.key("aborted").value(result.aborted);
+    w.key("label_hash").value(result.label_hash());
     // Full engine counters as one object (the legacy top-level keys above
     // stay for existing consumers; "stats" is the complete record).
     w.key("stats");

@@ -33,6 +33,19 @@ std::vector<NodeId> AlgoResult::largest_cluster() const {
   return best;
 }
 
+std::uint64_t AlgoResult::label_hash() const {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (const Label l : labels) {
+    auto x = static_cast<std::uint64_t>(l);
+    for (int i = 0; i < 8; ++i) {
+      h ^= x & 0xffu;
+      h *= 1099511628211ULL;
+      x >>= 8;
+    }
+  }
+  return h;
+}
+
 std::uint64_t AlgoResult::headline_cost() const {
   return model == CostModel::kCongest ? stats.rounds : local_ops;
 }

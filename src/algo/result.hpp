@@ -67,6 +67,11 @@ struct AlgoResult {
   /// The largest output cluster (empty when everything is bottom).
   [[nodiscard]] std::vector<NodeId> largest_cluster() const;
 
+  /// FNV-1a (64-bit) over each label's 8 little-endian bytes, in node order:
+  /// two runs label every node identically iff (barring collisions) their
+  /// hashes agree. The end-to-end benchmark's label hash.
+  [[nodiscard]] std::uint64_t label_hash() const;
+
   /// The model's headline cost: rounds under CONGEST, local_ops under
   /// LOCAL and central (the E10 comparison convention).
   [[nodiscard]] std::uint64_t headline_cost() const;

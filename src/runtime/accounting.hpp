@@ -118,8 +118,10 @@ struct NetProfile {
   /// (e2ebench/e2e_run.cpp) reads it.
   double fused_seconds = 0.0;
 
-  /// Arena accounting: sum and per-shard max of the shard arenas'
-  /// high-water marks (bytes of per-round transient storage).
+  /// Lane memory: sum and per-shard max of each shard's lane capacity bytes
+  /// (rows plus spilled payload words, summed over its k lanes). Lanes never
+  /// shrink, so this is each shard's peak. The "arena" names date from a
+  /// retired bump allocator; e2ebench/e2e_run.cpp reads them.
   std::uint64_t arena_bytes_total = 0;
   std::uint64_t arena_bytes_peak_shard = 0;
 

@@ -30,8 +30,8 @@ namespace nc {
 /// the guarantee extends to it unchanged.
 ///
 /// Storage note: a delayed message outlives the round that staged it, so
-/// the engine copies it out of the per-round arena lanes into heap-backed
-/// per-shard buckets (Network::Shard::delayed) before the arenas rewind.
+/// the engine copies it out of the lanes, which are cleared every round, into
+/// per-shard buckets (Network::Shard::delayed).
 struct FaultPlan {
   /// iid loss: every scheduled message is dropped independently with this
   /// probability. [0, 1].

@@ -39,25 +39,20 @@ std::size_t Link::pick_pending() {
   return count;
 }
 
-bool Link::schedule_matches(std::size_t budget_bits, unsigned header_bits,
-                            const MsgView& prev) {
+bool Link::schedule_matches(const MsgView& prev) {
   const std::size_t chosen = pick_pending();
   if (chosen == streams_.size()) return false;
   ActiveStream& s = streams_[chosen];
   // Identical shared buffer + identical cursor + identical budget means the
-  // packing loop below (schedule_view) would reproduce prev symbol for
-  // symbol, so the whole walk collapses to a cursor advance. The key check
+  // packing loop in schedule_view would reproduce prev symbol for symbol, so
+  // the whole walk collapses to a cursor advance. The budget is uniform by
+  // contract (one bandwidth and header width per network). The key check
   // is belt-and-braces: one OutStreamState is only ever registered by one
   // open_stream call, which uses one key for every sibling link.
   if (&s.state->buf != prev.buf || s.next_symbol != prev.first_symbol ||
       s.bit_off != prev.bit_off || !(s.key == prev.key) || s.eos_done) {
     return false;
   }
-  // prev was produced under the same (budget_bits, header_bits) by contract;
-  // the parameters exist so a future non-uniform-budget engine cannot
-  // silently misuse the fast path.
-  (void)budget_bits;
-  (void)header_bits;
   rr_pos_ = (chosen + 1) % streams_.size();
   s.next_symbol += prev.symbol_count;
   s.bit_off += prev.bit_len;

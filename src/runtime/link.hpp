@@ -79,9 +79,9 @@ class Link {
   /// detects that sibling links of one open_stream_all share the identical
   /// remaining view: the links share one OutStreamState, and their cursors
   /// coincide exactly when they have drained in lockstep — the invariant
-  /// every (budget-uniform) CONGEST round preserves.
-  bool schedule_matches(std::size_t budget_bits, unsigned header_bits,
-                        const MsgView& prev);
+  /// every (budget-uniform) CONGEST round preserves. `prev` must have been
+  /// scheduled under this link's budget and header width.
+  bool schedule_matches(const MsgView& prev);
 
   /// Removes streams whose EOS has been delivered (internal housekeeping;
   /// called by the schedulers).

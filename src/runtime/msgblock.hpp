@@ -2,10 +2,10 @@
 
 #include <cstdint>
 #include <cstring>
+#include <vector>
 
 #include "runtime/link.hpp"
 #include "runtime/message.hpp"
-#include "util/arena.hpp"
 #include "util/check.hpp"
 #include "util/ids.hpp"
 
@@ -50,12 +50,12 @@ namespace nc {
 /// per-edge staged sequence — and its RunStats — bit for bit: every copy
 /// charges the full wire_bits.
 ///
-/// Backing storage is ArenaVecs: lanes bind the owning shard's per-round
-/// Arena (begin_round() re-carves them after the arena's O(1) reset);
-/// delayed buckets stay heap-backed, because they outlive rounds and a bump
-/// arena can never rewind one bucket out of the middle of a round's
-/// allocations. RunStats bit accounting: wire_bits carries header +
-/// payload, exactly as Link::schedule_view computed it.
+/// Backing storage is two std::vectors (rows, spilled payload words). A lane
+/// is clear()ed at the top of each stage phase and keeps its capacity, so a
+/// steady-state round allocates nothing; a delayed bucket is the same type,
+/// filled by append_from and dropped once delivered. RunStats bit
+/// accounting: wire_bits carries header + payload, exactly as
+/// Link::schedule_view computed it.
 class MsgBlock {
  public:
   /// Payloads up to this many bits are stored in the row itself.
@@ -75,30 +75,13 @@ class MsgBlock {
     std::size_t pay_bits;
   };
 
-  /// Binds the storage to `arena` (nullptr = heap mode). Call once, while
-  /// empty.
-  void bind(Arena* arena) noexcept {
-    nc_invariant(empty() && msg_count_ == 0,
-                 "MsgBlock::bind must run on an empty block");
-    rows_.bind(arena);
-    pay_words_.bind(arena);
-    arena_mode_ = arena != nullptr;
-  }
-
-  /// Arena mode only: called after the owning arena's reset() invalidated
-  /// last round's spans. Drops them and re-carves capacity for the sizes the
-  /// previous round needed, so a steady-state round allocates each array
-  /// exactly once and never grows mid-round.
-  void begin_round() {
-    const std::size_t rows = rows_.size();
-    const std::size_t words = pay_words_.size();
-    rows_.release();
-    pay_words_.release();
+  /// Empties the block for a new round. Capacity is kept, so a steady-state
+  /// round stages into the arrays the previous rounds grew and allocates
+  /// nothing.
+  void clear() noexcept {
+    rows_.clear();
+    pay_words_.clear();
     msg_count_ = 0;
-    if (arena_mode_) {
-      if (rows > 0) rows_.reserve(rows);
-      if (words > 0) pay_words_.reserve(words);
-    }
   }
 
   /// Stages one scheduled message on directed edge `edge` as a new 1-copy
@@ -106,18 +89,17 @@ class MsgBlock {
   /// words or a word-aligned blit into the payload region); the caller may
   /// prune the source link afterwards.
   void push(const MsgView& v, std::size_t edge, std::uint64_t deliver_round) {
-    Row& row = *rows_.append(1);
+    Row& row = rows_.emplace_back();  // value-initialized: pay[] is zero
     row.edge = edge;
     row.deliver_round = deliver_round;
     row.wire_bits = v.wire_bits;
     row.tag = v.key.tag;
     row.copies = 1;
     row.meta = pack_meta(v.key, v.eos);
-    row.pay[0] = row.pay[1] = 0;
     std::uint64_t* dst = row.pay;
     if (v.bit_len > kInlineBits) {
       row.pay[0] = pay_words_.size();
-      dst = pay_words_.append((v.bit_len + 63) >> 6);
+      dst = append_words((v.bit_len + 63) >> 6);
     }
     v.buf->bits().copy_out(v.bit_off, v.bit_len, dst);
     ++msg_count_;
@@ -148,15 +130,15 @@ class MsgBlock {
     rows_.push_back(row);
   }
 
-  /// Copies row `i` of `src` into this block (delayed-bucket hand-off; this
-  /// block is heap-backed, the source lane is arena-backed and about to be
-  /// reset). Spilled payloads are word-aligned, so the copy is a memcpy.
+  /// Copies row `i` of `src` into this block (delayed-bucket hand-off: the
+  /// source lane is cleared next round, the bucket keeps its own copy).
+  /// Spilled payloads are word-aligned, so the copy is a memcpy.
   void append_from(const MsgBlock& src, std::size_t i, unsigned header_bits) {
     Row row = src.rows_[i];
     const std::size_t bits = row.wire_bits - header_bits;
     if (bits > kInlineBits) {
       const std::size_t nwords = (bits + 63) >> 6;
-      std::memcpy(pay_words_.append(nwords), src.pay_words_.data() + row.pay[0],
+      std::memcpy(append_words(nwords), src.pay_words_.data() + row.pay[0],
                   nwords * sizeof(std::uint64_t));
       row.pay[0] = pay_words_.size() - nwords;
     }
@@ -198,6 +180,13 @@ class MsgBlock {
     return msg_count_;
   }
 
+  /// Bytes of row and payload storage the block holds (capacity, not size).
+  /// clear() keeps it, so it only grows; what arena_bytes_* report.
+  [[nodiscard]] std::size_t capacity_bytes() const noexcept {
+    return rows_.capacity() * sizeof(Row) +
+           pay_words_.capacity() * sizeof(std::uint64_t);
+  }
+
  private:
   static constexpr std::uint16_t kEosBit = 1u << 9;
 
@@ -220,10 +209,17 @@ class MsgBlock {
                                       (eos ? kEosBit : 0));
   }
 
-  ArenaVec<Row> rows_;
-  ArenaVec<std::uint64_t> pay_words_;  ///< spilled payloads, word-aligned
+  /// Appends `count` payload words and returns the first (zeroed; the
+  /// caller overwrites them).
+  std::uint64_t* append_words(std::size_t count) {
+    const std::size_t at = pay_words_.size();
+    pay_words_.resize(at + count);
+    return pay_words_.data() + at;
+  }
+
+  std::vector<Row> rows_;
+  std::vector<std::uint64_t> pay_words_;  ///< spilled payloads, word-aligned
   std::size_t msg_count_ = 0;  ///< physical messages (sum of row copies)
-  bool arena_mode_ = false;
 };
 
 }  // namespace nc

@@ -196,9 +196,6 @@ Network::Network(const Graph& g, const NetConfig& config,
     shards_[s].end = plan_.end(s);
     shards_[s].woken.assign(shards_[s].end - shards_[s].begin, 0);
     shards_[s].lanes.resize(k);
-    // Lane storage carves from the owning shard's per-round arena; the
-    // cross-round delayed buckets stay heap-backed (default bind).
-    for (auto& lane : shards_[s].lanes) lane.bind(&shards_[s].arena);
   }
   // The whole determinism story rests on this: shards are contiguous ID
   // ranges covering [0, n), so merging lanes in ascending source-shard
@@ -488,13 +485,9 @@ void Network::stage_shard(unsigned s) {
           span_dur_us(tt0, tt1)});
     }
   };
-  // O(1) rewind of the whole previous round's transient storage, then
-  // re-carve the lanes at last round's sizes. A round after one that
-  // allocated nothing has nothing to rewind or re-carve.
-  if (sh.arena.bytes_used() > 0) {
-    sh.arena.reset();
-    for (auto& lane : sh.lanes) lane.begin_round();
-  }
+  // Last round's lanes were read by its deliver phase; empty them, keeping
+  // their capacity.
+  for (auto& lane : sh.lanes) lane.clear();
   if (sh.active_links.empty()) {
     telem_exit();
     return;
@@ -554,8 +547,7 @@ void Network::stage_shard(unsigned s) {
           });
       if (produced > 0) link.release_idle();
     } else if (group_live && from == group_from &&
-               link.schedule_matches(bandwidth_bits_, header_bits_,
-                                     group_view)) {
+               link.schedule_matches(group_view)) {
       LinkVerdict verdict;
       if (adversity) {
         verdict = link_verdict(sh, e, from, to, 1, group_view.key.kind,
@@ -646,11 +638,11 @@ void Network::deliver_shard(unsigned d) {
       const MsgBlock::Rec r = lane.record(i, header_bits_);
       if (adversity && r.deliver_round > round_) {
         // In flight: copy the staged row (payload and all) into this
-        // shard's future bucket — the arena-backed lane is rewound next
-        // round, so the bucket owns a heap copy. Touching lane[src][d]
-        // from shard d is safe: in the deliver phase a lane is read only
-        // by its destination shard (the pool barrier separates it from
-        // the stage phase's writes).
+        // shard's future bucket — the lane is cleared next round, so the
+        // bucket owns a copy. Touching lane[src][d] from shard d is safe:
+        // in the deliver phase a lane is read only by its destination
+        // shard (the pool barrier separates it from the stage phase's
+        // writes).
         nc_invariant(r.copies == 1,
                      "a delayed row carries exactly one copy (add_copy never "
                      "extends a delayed row)");
@@ -865,7 +857,10 @@ void Network::flush_profile() {
   prof_.delayed_msgs_peak = 0;
   prof_.broadcast_payload_bytes_saved = 0;
   for (const auto& sh : shards_) {
-    const auto hw = static_cast<std::uint64_t>(sh.arena.high_water_bytes());
+    // Lane capacity never shrinks (clear() keeps it), so the current sum is
+    // the shard's peak lane footprint over the network's lifetime.
+    std::uint64_t hw = 0;
+    for (const auto& lane : sh.lanes) hw += lane.capacity_bytes();
     prof_.arena_bytes_total += hw;
     prof_.arena_bytes_peak_shard = std::max(prof_.arena_bytes_peak_shard, hw);
     prof_.lane_msgs_peak = std::max(prof_.lane_msgs_peak, sh.staged_peak);

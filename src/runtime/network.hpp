@@ -18,7 +18,6 @@
 #include "runtime/shard.hpp"
 #include "runtime/stream.hpp"
 #include "runtime/telemetry.hpp"
-#include "util/arena.hpp"
 #include "util/ids.hpp"
 #include "util/rng.hpp"
 
@@ -98,7 +97,7 @@ struct NetConfig {
   ReliabilityPlan reliability;
 
   /// Opt-in engine profiling: when non-null, the network accumulates
-  /// per-phase wall-clock and arena/lane peaks here over its lifetime
+  /// per-phase wall-clock and lane peaks here over its lifetime
   /// (flushed at the end of run()/run_rounds()). Null — the default —
   /// keeps the hot path free of clock reads and peak bookkeeping.
   NetProfile* profile = nullptr;
@@ -358,14 +357,10 @@ class Network {
     /// Owned nodes that called set_done().
     NodeId done_count = 0;
 
-    /// Per-round transient storage: every lane array below carves from
-    /// this bump arena, which the stage phase rewinds in O(1) at the top of
-    /// each round (src/util/arena.hpp).
-    Arena arena;
-
     /// Staged outgoing messages, by destination shard — edge-range rows
     /// plus a shared packed-payload region per lane
-    /// (src/runtime/msgblock.hpp), arena-backed.
+    /// (src/runtime/msgblock.hpp). The stage phase clears them at the top of
+    /// each round; they keep their capacity across rounds.
     std::vector<MsgBlock> lanes;
 
     /// Per-round traffic partials, reduced into stats_ after the deliver
@@ -377,9 +372,8 @@ class Network {
     /// deliver phase — staged rows whose deliver_round is in the future are
     /// copied here in canonical merge order, so the bucket's insertion
     /// order is thread-count-invariant — and drained at the start of the
-    /// deliver phase of the due round. Heap-backed MsgBlocks, deliberately
-    /// outside the arena: buckets outlive rounds, and a bump arena cannot
-    /// rewind storage that crosses its reset boundary.
+    /// deliver phase of the due round. A bucket owns copies of its rows:
+    /// the lanes they came from are cleared next round.
     std::map<std::uint64_t, MsgBlock> delayed;  // nclint:allow(ordered-map) cross-round delay buckets exist only under an active fault plan
 
     /// Profiling partials (NetConfig::profile only; zero cost otherwise):
@@ -579,7 +573,7 @@ class Network {
   // and flushed into *config_.profile at the end of run()/run_rounds().
   NetProfile prof_;
 
-  /// Publishes prof_ (plus the arenas' current high-water marks and the
+  /// Publishes prof_ (plus the lanes' current capacity bytes and the
   /// shards' peak counters) into *config_.profile. No-op when unprofiled.
   void flush_profile();
 

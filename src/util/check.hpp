@@ -5,7 +5,7 @@
 /// `nc_invariant(cond, msg)` asserts an engine contract that is too
 /// expensive — or too far from any single call site — to express as a type:
 /// lane merge order, FIFO delay watermarks, inbox slot-map consistency,
-/// arena ownership. The checks compile to nothing unless the build defines
+/// staged-row shapes. The checks compile to nothing unless the build defines
 /// NC_CHECK_INVARIANTS, which the CMake option of the same name controls:
 /// ON by default (so the dev-default RelWithDebInfo preset and the tier-1
 /// test runs execute every check) and forced OFF for Release builds, so the

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "algo/plans.hpp"
 #include "algo/registry.hpp"
@@ -124,6 +125,19 @@ TEST(AlgorithmRegistry, CentralLabelsGroupTheFoundSet) {
   const auto& [label, members] = *clusters.begin();
   EXPECT_EQ(label, members.front());  // smallest member id labels the set
   EXPECT_EQ(members, res.largest_cluster());
+}
+
+TEST(AlgoResult, LabelHashIsFnv1aOverLittleEndianLabelBytes) {
+  // Pinned values: 64-bit FNV-1a (offset basis 1469598103934665603, prime
+  // 1099511628211) over each label's 8 bytes, least significant first — the
+  // definition e2ebench/e2e_run.cpp uses, so both report the same hash.
+  AlgoResult res;
+  EXPECT_EQ(res.label_hash(), 1469598103934665603ULL);  // no labels: basis
+  res.labels = {3, 0, 0x0123456789abcdefULL, kBottom};
+  EXPECT_EQ(res.label_hash(), 0x86a6ca6d6d55d198ULL);
+  // Order matters: the hash identifies the labelling, not the label set.
+  std::swap(res.labels[0], res.labels[1]);
+  EXPECT_NE(res.label_hash(), 0x86a6ca6d6d55d198ULL);
 }
 
 TEST(AlgorithmRegistry, UnknownAlgorithmFailsWithCatalogue) {

@@ -229,6 +229,123 @@ TEST(Link, PruneKeepsActiveStreams) {
   EXPECT_EQ(d->key.kind, 2u);
 }
 
+// schedule_matches: the stage phase's broadcast fast path. A sibling link
+// (one that shares the OutStreamState) whose cursor coincides with the head
+// link's view advances as if it had run schedule_view itself.
+
+/// The scheduling-relevant fields of a view (everything but `buf`).
+void expect_same_view(const MsgView& a, const MsgView& b) {
+  EXPECT_EQ(a.key.kind, b.key.kind);
+  EXPECT_EQ(a.key.tag, b.key.tag);
+  EXPECT_EQ(a.key.version, b.key.version);
+  EXPECT_EQ(a.first_symbol, b.first_symbol);
+  EXPECT_EQ(a.symbol_count, b.symbol_count);
+  EXPECT_EQ(a.bit_off, b.bit_off);
+  EXPECT_EQ(a.bit_len, b.bit_len);
+  EXPECT_EQ(a.eos, b.eos);
+  EXPECT_EQ(a.wire_bits, b.wire_bits);
+}
+
+TEST(Link, ScheduleMatchesAdvancesLockstepSiblingLikeScheduleView) {
+  // Three links share two streams: `head` schedules, `sibling` takes the
+  // fast path, `twin` runs schedule_view. Round-robin over two streams with
+  // chunking and EOS: every round the sibling must match, and the twin's
+  // view must equal the head's — so the sibling advanced exactly as
+  // schedule_view would have.
+  Link head, sibling, twin;
+  OutChannel a, b;
+  const StreamKey ka{3, 9, 1}, kb{4, 9, 1};
+  for (Link* l : {&head, &sibling, &twin}) {
+    l->add_stream(ka, a.state());
+    l->add_stream(kb, b.state());
+  }
+  for (unsigned i = 0; i < 7; ++i) a.put(i + 1, 12);
+  for (unsigned i = 0; i < 3; ++i) b.put(0x100 + i, 20);
+  a.close();
+  b.close();
+  const std::size_t budget = kHeader + 40;
+  int rounds = 0;
+  MsgView hv, tv;
+  while (head.schedule_view(budget, kHeader, hv)) {
+    ++rounds;
+    ASSERT_TRUE(sibling.schedule_matches(hv)) << "round " << rounds;
+    ASSERT_TRUE(twin.schedule_view(budget, kHeader, tv)) << "round " << rounds;
+    expect_same_view(hv, tv);
+    EXPECT_EQ(sibling.has_pending(), twin.has_pending());
+    head.release_idle();
+    sibling.release_idle();
+    twin.release_idle();
+  }
+  EXPECT_GT(rounds, 4);  // both streams chunked, alternating
+  EXPECT_FALSE(sibling.has_pending());
+  EXPECT_FALSE(twin.has_pending());
+  EXPECT_EQ(sibling.stream_count(), 0u);  // both EOSes delivered, pruned
+}
+
+TEST(Link, ScheduleMatchesRejectsDivergedCursorWithoutAdvancing) {
+  // The sibling lags one message behind the head: the head's second view
+  // starts past the sibling's cursor, so it must not match — and the
+  // sibling must still schedule the head's first message next.
+  Link head, sibling;
+  OutChannel ch;
+  const StreamKey key{2, 5, 0};
+  head.add_stream(key, ch.state());
+  sibling.add_stream(key, ch.state());
+  for (unsigned i = 0; i < 4; ++i) ch.put(i + 1, 8);
+  MsgView first, second, v;
+  ASSERT_TRUE(head.schedule_view(kHeader + 16, kHeader, first));
+  ASSERT_TRUE(head.schedule_view(kHeader + 16, kHeader, second));
+  EXPECT_FALSE(sibling.schedule_matches(second));
+  ASSERT_TRUE(sibling.schedule_view(kHeader + 16, kHeader, v));
+  expect_same_view(v, first);
+}
+
+TEST(Link, ScheduleMatchesRejectsOtherBufferWithoutAdvancing) {
+  // Same key, same content, same cursor — but a different OutStreamState:
+  // the fast path only trusts a shared buffer.
+  Link head, other;
+  OutChannel mine = attach(head, StreamKey{1, 2, 0});
+  OutChannel theirs = attach(other, StreamKey{1, 2, 0});
+  for (OutChannel* ch : {&mine, &theirs}) {
+    ch->put(0xab, 8);
+    ch->put(0xcd, 8);
+    ch->close();
+  }
+  MsgView hv;
+  ASSERT_TRUE(head.schedule_view(kHeader + 64, kHeader, hv));
+  EXPECT_FALSE(other.schedule_matches(hv));
+  EXPECT_TRUE(other.has_pending());
+  const auto d = schedule(other, kHeader + 64);
+  ASSERT_TRUE(d.has_value());
+  EXPECT_EQ(d->symbols, (read_view(hv).symbols));
+  EXPECT_TRUE(d->eos);
+}
+
+TEST(Link, ScheduleMatchesRejectsAfterDeliveredEosWithoutAdvancing) {
+  // The sibling already matched the head's EOS message. Offering that view
+  // again must fail — the shared stream is finished — and must leave the
+  // sibling's other, still pending stream untouched.
+  Link head, sibling;
+  OutChannel shared;
+  head.add_stream(StreamKey{1, 3, 0}, shared.state());
+  sibling.add_stream(StreamKey{1, 3, 0}, shared.state());
+  OutChannel own = attach(sibling, StreamKey{2, 3, 0});
+  shared.put(0x5, 4);
+  shared.close();
+  own.put(0x77, 8);
+  MsgView eos_view;
+  ASSERT_TRUE(head.schedule_view(kHeader + 64, kHeader, eos_view));
+  ASSERT_TRUE(eos_view.eos);
+  ASSERT_TRUE(sibling.schedule_matches(eos_view));
+  EXPECT_FALSE(sibling.schedule_matches(eos_view));
+  const auto d = schedule(sibling, kHeader + 64);
+  ASSERT_TRUE(d.has_value());
+  EXPECT_EQ(d->key.kind, 2u);
+  ASSERT_EQ(d->symbols.size(), 1u);
+  EXPECT_EQ(d->symbols[0].first, 0x77u);
+  EXPECT_FALSE(sibling.has_pending());
+}
+
 TEST(StreamHeaderBits, MatchesLayout) {
   // kind(5) + tag(id bits) + version(4) + eos(1).
   EXPECT_EQ(stream_header_bits(10), 5u + 10u + 4u + 1u);

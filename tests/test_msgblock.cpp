@@ -8,7 +8,6 @@
 #include "runtime/msgblock.hpp"
 #include "runtime/reliability.hpp"
 #include "runtime/stream.hpp"
-#include "util/arena.hpp"
 
 // Round-trip tests of the staging lanes: a message scheduled as a
 // zero-copy MsgView, pushed into a MsgBlock (inline or spilled encoding),
@@ -199,12 +198,9 @@ TEST(MsgBlock, LocalDrainViewsStageUnbounded) {
 }
 
 TEST(MsgBlock, AppendFromCopiesInlineAndSpilledRows) {
-  // The delayed-bucket hand-off: rows staged in an arena-backed lane are
-  // copied into a heap-backed bucket that outlives the round.
-  Arena arena;
+  // The delayed-bucket hand-off: rows staged in a lane are copied into a
+  // bucket that outlives the round.
   MsgBlock lane;
-  lane.bind(&arena);
-  lane.begin_round();
 
   Scheduled small;
   schedule(small, StreamKey{6, 11, 2}, {{0xabcd, 16}}, /*close=*/false,
@@ -220,14 +216,15 @@ TEST(MsgBlock, AppendFromCopiesInlineAndSpilledRows) {
   ASSERT_TRUE(big.ok);
   lane.push(big.view, 11, 9);
 
-  MsgBlock bucket;  // heap mode
+  MsgBlock bucket;
   bucket.append_from(lane, 0, kHeader);
   bucket.append_from(lane, 1, kHeader);
 
-  // Simulate the next round: the arena rewinds and the lane re-carves. The
-  // bucket's copies must be unaffected.
-  arena.reset();
-  lane.begin_round();
+  // Simulate the next round: the lane is cleared. The bucket's copies must
+  // be unaffected.
+  lane.clear();
+  EXPECT_TRUE(lane.empty());
+  EXPECT_EQ(lane.message_count(), 0u);
 
   const MsgBlock::Rec r0 = bucket.record(0, kHeader);
   EXPECT_EQ(r0.edge, 10u);
@@ -249,34 +246,36 @@ TEST(MsgBlock, AppendFromCopiesInlineAndSpilledRows) {
   }
 }
 
-TEST(MsgBlock, ArenaLaneSteadyStateReusesMemory) {
-  Arena arena;
+TEST(MsgBlock, ClearedLaneKeepsCapacityOverIdenticalRounds) {
+  // A lane is cleared at the top of every stage phase. clear() must keep the
+  // row and payload capacity, so once the first round has grown the arrays,
+  // identical rounds stage into the same memory and allocate nothing.
   MsgBlock lane;
-  lane.bind(&arena);
-  for (int round = 0; round < 8; ++round) {
-    arena.reset();
-    lane.begin_round();
+  EXPECT_EQ(lane.capacity_bytes(), 0u);
+  const auto stage_round = [&](int round) {
+    lane.clear();
     for (int m = 0; m < 32; ++m) {
       Scheduled s;
-      schedule(s, StreamKey{1, NodeId(m), 0},
-               {{static_cast<std::uint64_t>(m * round), 24}}, true,
-               kHeader + 24);
+      // Alternate inline (24-bit) and spilled (5 × 40-bit) payloads so both
+      // arrays grow.
+      Symbols symbols{{static_cast<std::uint64_t>(m * round), 24}};
+      if (m % 2 == 1) symbols.assign(5, {static_cast<std::uint64_t>(m), 40});
+      schedule(s, StreamKey{1, NodeId(m), 0}, symbols, true, kHeader + 200);
       ASSERT_TRUE(s.ok);
       lane.push(s.view, std::size_t(m), 0);
     }
     ASSERT_EQ(lane.size(), 32u);
+  };
+  stage_round(0);
+  const std::size_t cap = lane.capacity_bytes();
+  EXPECT_GT(cap, 0u);
+  for (int round = 1; round < 8; ++round) {
+    stage_round(round);
+    EXPECT_EQ(lane.capacity_bytes(), cap) << "round " << round;
   }
-  // After the first two rounds (growth then coalesce) the arena should stop
-  // growing: identical per-round footprint.
-  const std::size_t hw = arena.high_water_bytes();
-  arena.reset();
-  lane.begin_round();
-  for (int m = 0; m < 32; ++m) {
-    Scheduled s;
-    schedule(s, StreamKey{1, NodeId(m), 0}, {{7, 24}}, true, kHeader + 24);
-    lane.push(s.view, std::size_t(m), 0);
-  }
-  EXPECT_EQ(arena.high_water_bytes(), hw);
+  lane.clear();
+  EXPECT_TRUE(lane.empty());
+  EXPECT_EQ(lane.capacity_bytes(), cap);
 }
 
 // One staged copy as the deliver phase expands it: (edge, deliver round).
@@ -354,12 +353,7 @@ TEST(MsgBlock, BroadcastReceiversSplitAcrossDstShardLanes) {
   // receivers live on two destination shards stages one row per lane, each
   // covering only its own shard's block of the sender's edges. Two lanes,
   // same scheduled view.
-  Arena arena0, arena1;
   MsgBlock lane0, lane1;
-  lane0.bind(&arena0);
-  lane1.bind(&arena1);
-  lane0.begin_round();
-  lane1.begin_round();
 
   Scheduled s;
   std::vector<std::pair<std::uint64_t, unsigned>> symbols;
@@ -474,11 +468,8 @@ TEST(MsgBlock, SplitRowsShareOneSpilledPayload) {
 TEST(MsgBlock, AppendFromParksDelayedBroadcastCopy) {
   // A delayed broadcast copy is its own row, so the delayed-bucket hand-off
   // is a plain append_from: the copy keeps its edge and deliver round and
-  // gets its own heap payload, surviving the lane's arena reset.
-  Arena arena;
+  // gets its own payload, surviving the lane's clear().
   MsgBlock lane;
-  lane.bind(&arena);
-  lane.begin_round();
 
   Scheduled s;
   std::vector<std::pair<std::uint64_t, unsigned>> symbols;
@@ -489,11 +480,10 @@ TEST(MsgBlock, AppendFromParksDelayedBroadcastCopy) {
   lane.add_copy(51, /*deliver_round=*/17);  // this copy is delayed
   ASSERT_EQ(lane.size(), 2u);
 
-  MsgBlock bucket;  // heap mode, outlives the round
+  MsgBlock bucket;  // outlives the round
   bucket.append_from(lane, 1, kHeader);
 
-  arena.reset();
-  lane.begin_round();
+  lane.clear();
 
   ASSERT_EQ(bucket.message_count(), 1u);
   const MsgBlock::Rec r = bucket.record(0, kHeader);
@@ -549,10 +539,7 @@ TEST(MsgBlock, MixedWidthReportStreamRoundTripsEveryPath) {
     link.add_stream(StreamKey{13, 77, 2}, ch.state());
     for (const auto& [v, w] : format) ch.put(v, w);
     ch.close();
-    Arena arena;
     MsgBlock lane;
-    lane.bind(&arena);
-    lane.begin_round();
     // Every message fans out to edges 10..14: 12's copy is dropped, 13's
     // is delayed to round 5.
     const auto stage = [&](const MsgView& v) {
@@ -568,7 +555,7 @@ TEST(MsgBlock, MixedWidthReportStreamRoundTripsEveryPath) {
       while (link.schedule_view(budget, kHeader, v)) stage(v);
     }
     InStream in[15];
-    MsgBlock bucket;  // heap mode, outlives the lane's round
+    MsgBlock bucket;  // outlives the lane's round
     for (std::size_t i = 0; i < lane.size(); ++i) {
       const MsgBlock::Rec r = lane.record(i, kHeader);
       EXPECT_EQ(spilled(r), budget == 0) << "budget " << budget;
@@ -581,8 +568,7 @@ TEST(MsgBlock, MixedWidthReportStreamRoundTripsEveryPath) {
         if (r.eos) in[r.edge + j].deliver_eos();
       }
     }
-    arena.reset();
-    lane.begin_round();
+    lane.clear();
     for (std::size_t i = 0; i < bucket.size(); ++i) {
       const MsgBlock::Rec r = bucket.record(i, kHeader);
       EXPECT_EQ(r.edge, 13u);

@@ -243,6 +243,69 @@ TEST(ShardedNetwork, AlarmsAcrossShardBoundary) {
   }
 }
 
+/// Streams `symbols` bytes to its ring successor and reads its
+/// predecessor's stream to the end.
+class RingChatter : public INode {
+ public:
+  RingChatter(NodeId n, std::size_t symbols) : n_(n), symbols_(symbols) {}
+  void on_start(NodeApi& api) override {
+    const NodeId next = (api.id() + 1) % n_;
+    auto ch = api.open_stream_one(StreamKey{kPing, api.id(), 0},
+                                  api.neighbor_index(next));
+    for (std::size_t i = 0; i < symbols_; ++i) ch.put(i & 0xffu, 8);
+    ch.close();
+  }
+  void on_round(NodeApi& api) override {
+    const NodeId prev = (api.id() + n_ - 1) % n_;
+    InStream* in =
+        api.find_in(api.neighbor_index(prev), StreamKey{kPing, prev, 0});
+    if (in == nullptr) return;
+    while (in->available() > 0) checksum += in->pop(8);
+    if (in->finished()) api.set_done();
+  }
+  std::uint64_t checksum = 0;
+
+ private:
+  NodeId n_;
+  std::size_t symbols_;
+};
+
+TEST(ShardedNetwork, UnicastRingLaneBytesStayFlatAcrossThreadCounts) {
+  // Unicast ring traffic is the same at every thread count; only its split
+  // over lanes changes. With 4 shards almost every message stays in its
+  // shard's own lane, so the summed lane capacity (NetProfile's
+  // arena_bytes_total) must stay within 1.25x of the single lane's.
+  constexpr NodeId kN = 1000;
+  const Graph g = testing::cycle_graph(kN);
+  const auto run = [&](unsigned threads, NetProfile& prof) {
+    NetConfig cfg;
+    cfg.threads = threads;
+    cfg.profile = &prof;
+    Network net(g, cfg, [&](NodeId) -> std::unique_ptr<INode> {
+      return std::make_unique<RingChatter>(kN, 64);
+    });
+    return net.run();
+  };
+  NetProfile p1, p4;
+  const RunStats s1 = run(1, p1);
+  const RunStats s4 = run(4, p4);
+  EXPECT_FALSE(s1.stalled);
+  EXPECT_GT(s1.rounds, 5u);  // several rounds of staging through the lanes
+  EXPECT_EQ(s1.rounds, s4.rounds);
+  EXPECT_EQ(s1.messages, s4.messages);
+  EXPECT_EQ(s1.bits, s4.bits);
+  EXPECT_EQ(s1.max_message_bits, s4.max_message_bits);
+  EXPECT_EQ(s1.bits_by_kind, s4.bits_by_kind);
+  EXPECT_EQ(s1.stalled, s4.stalled);
+  EXPECT_EQ(s1.hit_round_limit, s4.hit_round_limit);
+  ASSERT_GT(p1.arena_bytes_total, 0u);
+  EXPECT_EQ(p1.arena_bytes_peak_shard, p1.arena_bytes_total);  // one shard
+  EXPECT_LE(p4.arena_bytes_total * 4, p1.arena_bytes_total * 5)
+      << "1 thread: " << p1.arena_bytes_total
+      << " B, 4 threads: " << p4.arena_bytes_total << " B";
+  EXPECT_LT(p4.arena_bytes_peak_shard, p1.arena_bytes_peak_shard);
+}
+
 TEST(ShardedNetwork, ShardCountIsReported) {
   const Graph g = testing::cycle_graph(12);
   NetConfig cfg;
